@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,20 +50,22 @@ def _parse_amplitudes(text: str) -> tuple[complex, complex]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated amplitudes")
     a, b = (complex(p.strip().replace("i", "j")) for p in parts)
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1) > 1e-6:
-        a, b = a / norm**0.5, b / norm**0.5
-    return a, b
+    norm = math.hypot(abs(a), abs(b))
+    if not (math.isfinite(norm) and norm > 0):
+        raise argparse.ArgumentTypeError(
+            f"amplitudes must be finite and not both zero, got {text!r}")
+    return a / norm, b / norm
 
 
 def _parse_injection(text: str) -> PauliString:
     """'X@3' or 'XZ@1' with 1-based qubit labels, as in the lookup table."""
     op, _, qubit = text.partition("@")
-    label = f"{op.upper()[0]}{qubit}" if len(op) == 1 else f"X{qubit}Z{qubit}"
-    if op.upper() not in ("X", "Z", "XZ", "Y"):
-        raise argparse.ArgumentTypeError(f"bad Pauli {op!r}")
-    if op.upper() == "Y":
-        label = f"X{qubit}Z{qubit}"
+    op = op.upper()
+    if op not in ("X", "Z", "XZ", "Y"):
+        raise ValueError(f"bad Pauli {op!r} in --inject {text!r}")
+    if qubit not in ("1", "2", "3", "4", "5"):
+        raise ValueError(f"--inject qubit must be 1..5, got {text!r}")
+    label = f"{op}{qubit}" if op in ("X", "Z") else f"X{qubit}Z{qubit}"
     return code5.error_operator(label)
 
 
@@ -260,7 +263,11 @@ def main(argv=None) -> int:
     for name, fallback in (("seed", 0), ("json", None), ("quiet", False)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input the library rejected
+        _emit(args, {"error": str(exc)}, False)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,16 +16,11 @@ import numpy as np
 
 from . import code5, protocols, svsim
 from .circuit import CZ, H
-from .pauli import PauliString, compose_pauli
+from .pauli import PauliString, conjugate_pauli
 from .svsim import StateVector
 
 SCHEMA = "1"
 SUCCESS_FIDELITY = 1 - 1e-6
-
-
-@dataclass(frozen=True)
-class ExhaustiveSinglePauli:
-    kind: str = "exhaustive-single-pauli"
 
 
 @dataclass(frozen=True)
@@ -128,45 +123,92 @@ def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7,
 
 # -- depolarizing Monte Carlo ----------------------------------------------------
 
+# Five letters per pattern; a pattern's index in the oracle table is its
+# base-4 number in these digits, qubit 0 most significant (the order of
+# itertools.product("IXYZ", repeat=5)).
+PATTERN_LETTERS = "IXYZ"
+FIVE_SIGMA_P_VALUE = math.erfc(5 / math.sqrt(2))  # two-sided normal tail, 5.733e-7
 
-def hash_pattern(pattern: tuple[str, ...]) -> int:
-    """Stable small integer from a letter pattern (process-independent)."""
-    return int.from_bytes("".join(pattern).encode(), "big")
-
-
-def _pattern_pauli(pattern: tuple[str, ...]) -> PauliString | None:
-    """Five per-qubit letters in {I, X, Y, Z} -> error Pauli, or None."""
-    p = PauliString.identity(5)
-    any_err = False
-    for q, letter in enumerate(pattern):
-        if letter == "I":
-            continue
-        any_err = True
-        p = compose_pauli(p, PauliString.single(5, q, letter))
-    return p if any_err else None
+_CODE_STABILIZERS = code5.code_stabilizers()
+_LOGICAL_X, _LOGICAL_Z = code5.logical_x(), code5.logical_z()
 
 
-class _TeleportCache:
-    """Memoized teleport outcomes for a fixed (psi, xi, stage).
+def _tail_circuit(stage: str) -> list:
+    """Instructions of the hop that run after an error injected in ``stage``.
 
-    The syndrome and output fidelity depend only on the injected Pauli, so
-    each of the 4^5 letter patterns is simulated at most once.
+    A slice of the full hop circuit: the decoder on A for ``protected``;
+    the hub fan, the encoder of B and the decoder for ``after_encode_a``.
     """
+    if stage not in protocols.ERROR_STAGES:
+        raise ValueError(f"unknown error stage {stage!r}")
+    hop = protocols.build_teleport_circuit(include_decode=True).instructions
+    if stage == "protected":
+        return hop[len(hop) - len(code5.build_decoder(0, 10).instructions):]
+    return hop[len(code5.build_encoder(0, 10).instructions):]
 
-    def __init__(self, psi, xi, stage: str = "protected"):
-        self.psi = psi
-        self.xi = xi
-        self.stage = stage
-        self._memo: dict[tuple[str, ...], tuple[str, float]] = {}
 
-    def result(self, pattern: tuple[str, ...]) -> tuple[str, float]:
-        if pattern not in self._memo:
-            err = _pattern_pauli(pattern)
-            rep = protocols.encoded_teleport(
-                self.psi, self.xi, injected_error=err, error_stage=self.stage,
-                rng=np.random.default_rng(hash_pattern(pattern)))
-            self._memo[pattern] = (rep.syndrome, rep.fidelity)
-        return self._memo[pattern]
+def _propagate(p: PauliString, tail: list) -> PauliString:
+    for ins in tail:
+        p = conjugate_pauli(p, ins.gate)
+    return p
+
+
+def _propagated_patterns(stage: str) -> list[tuple[int, int]]:
+    """(x, z) bits of every pattern pushed through the tail, in table order.
+
+    Conjugation is linear in the bits, so each pattern is the XOR of the
+    images of its X_q and Z_q generators; phases are dropped.
+    """
+    tail = _tail_circuit(stage)
+    frames = [(0, 0)]
+    for q in range(5):
+        px = _propagate(PauliString.single(10, q, "X"), tail)
+        pz = _propagate(PauliString.single(10, q, "Z"), tail)
+        choices = ((0, 0), (px.x, px.z), (px.x ^ pz.x, px.z ^ pz.z), (pz.x, pz.z))
+        frames = [(fx ^ cx, fz ^ cz) for fx, fz in frames for cx, cz in choices]
+    return frames
+
+
+def _output_overlaps(psi, xi: float) -> dict[tuple[int, int, int, int], float]:
+    """|<phi| X^lx Z^lz X^b phi_a>| for every residual X^a Z^b on qubit 0
+    and logical Pauli X^lx Z^lz carried onto register B.
+
+    phi = H Rz(xi) psi is the ideal output; phi_a = H Rz((-1)^a xi) psi.
+    The overlap does not depend on the measurement outcome m.
+    """
+    phi = _oracle_gate_product(psi, [xi])
+    out = {}
+    for a in (0, 1):
+        phi_a = _oracle_gate_product(psi, [-xi if a else xi])
+        for b, lx, lz in itertools.product((0, 1), repeat=3):
+            v = phi_a[::-1] if b else phi_a
+            if lz:
+                v = v * np.array([1, -1])
+            if lx:
+                v = v[::-1]
+            out[a, b, lx, lz] = float(abs(np.vdot(phi, v)))
+    return out
+
+
+def _anticommutes(x: int, z: int, p: PauliString) -> int:
+    return ((x & p.z).bit_count() + (z & p.x).bit_count()) & 1
+
+
+def _read_pattern(x: int, z: int, overlaps: dict) -> tuple[str, float]:
+    """Syndrome and output fidelity of one propagated error (x, z bits).
+
+    The syndrome is the X part on qubits 1..4; the table correction leaves
+    X^a Z^b on qubit 0.  On register B the error either leaves the code
+    space or acts as a logical X^lx Z^lz.
+    """
+    syndrome = code5.Syndrome(tuple((x >> q) & 1 for q in range(1, 5)))
+    corr = code5.correction_for(syndrome)
+    xb, zb = x >> 5, z >> 5
+    if any(_anticommutes(xb, zb, s) for s in _CODE_STABILIZERS):
+        return str(syndrome), 0.0
+    key = ((x ^ corr.x) & 1, (z ^ corr.z) & 1,
+           _anticommutes(xb, zb, _LOGICAL_Z), _anticommutes(xb, zb, _LOGICAL_X))
+    return str(syndrome), overlaps[key]
 
 
 def exhaustive_failure_oracle(psi=None, xi: float = 0.7, seed: int = 12345,
@@ -176,25 +218,31 @@ def exhaustive_failure_oracle(psi=None, xi: float = 0.7, seed: int = 12345,
     In the protected window weight 0 and 1 always succeed and the weight-2
     fraction demonstrates the distance-3 limit.  Used as the analytic
     reference for the Monte Carlo.
+
+    Everything from the injected error to the final XY measurement is
+    Clifford, so each pattern is propagated through the rest of the hop
+    (Gottesman-Knill) instead of simulated densely.  ``out["table"][i]`` is
+    the (syndrome, fidelity) of the pattern with index ``i``.
     """
     rng = np.random.default_rng(seed)
     if psi is None:
         psi = _random_qubit(rng)
-    cache = _TeleportCache(psi, xi, stage)
-    by_weight: dict[int, list[float]] = {w: [] for w in range(6)}
-    for pattern in itertools.product("IXYZ", repeat=5):
-        w = sum(1 for ch in pattern if ch != "I")
-        _, fid = cache.result(pattern)
-        by_weight[w].append(fid)
+    overlaps = _output_overlaps(psi, xi)
+    table = [_read_pattern(x, z, overlaps) for x, z in _propagated_patterns(stage)]
+    patterns = [0] * 6
+    failures = [0] * 6
+    for pattern, (_, fid) in zip(itertools.product(PATTERN_LETTERS, repeat=5), table):
+        w = 5 - pattern.count("I")
+        patterns[w] += 1
+        failures[w] += fid < SUCCESS_FIDELITY
     out = {"xi": xi, "weights": {}}
-    for w, fids in by_weight.items():
-        fails = sum(1 for f in fids if f < SUCCESS_FIDELITY)
+    for w in range(6):
         out["weights"][str(w)] = {
-            "patterns": len(fids),
-            "failures": fails,
-            "failure_fraction": fails / len(fids),
+            "patterns": patterns[w],
+            "failures": failures[w],
+            "failure_fraction": failures[w] / patterns[w],
         }
-    out["cache"] = cache
+    out["table"] = table
     return out
 
 
@@ -211,6 +259,37 @@ def predicted_failure_rate(p: float, oracle: dict) -> float:
     return total
 
 
+def _binomial_pmf(k: int, n: int, q: float) -> float:
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(q) + (n - k) * math.log1p(-q))
+
+
+def binomial_p_value(k: int, n: int, q: float) -> float:
+    """Exact two-sided p-value of the count k under Binomial(n, q).
+
+    Twice the smaller tail, capped at 1.  The tail away from the mean is
+    summed outward from k with the pmf ratio recurrence; its terms fall
+    geometrically, so the sum stops once they no longer change it.
+    """
+    if q <= 0:
+        return float(k == 0)
+    if q >= 1:
+        return float(k == n)
+    odds = q / (1 - q)
+    step = 1 if k >= n * q else -1
+    term = pmf_k = _binomial_pmf(k, n, q)
+    near = 0.0
+    j = k
+    while term > near * 1e-17:
+        near += term
+        if not 0 <= j + step <= n:
+            break
+        term *= (n - j) / (j + 1) * odds if step > 0 else j / (n - j + 1) / odds
+        j += step
+    far = 1.0 - near + pmf_k
+    return min(1.0, 2 * min(near, far))
+
+
 def run_depolarizing(p: float, trials: int, seed: int = 0,
                      xi: float = 0.7, oracle: dict | None = None,
                      unprotected: bool = False) -> RunReport:
@@ -220,29 +299,33 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     With ``unprotected`` the errors strike between the encoding of the
     source register and the entangling fan instead, where the scheme gives
     no guarantee; the oracle prediction then describes that window.
+
+    ``within_5_sigma`` holds when the exact two-sided binomial p-value of
+    the failure count under the oracle prediction is at least the normal
+    5-sigma tail; ``binomial_sigma`` is the standard error of the rate.
     """
+    Depolarizing(p)  # rejects p outside [0, 1]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if oracle is None:
         stage = "after_encode_a" if unprotected else "protected"
         oracle = exhaustive_failure_oracle(xi=xi, seed=seed ^ 0x5EED, stage=stage)
-    cache: _TeleportCache = oracle["cache"]
+    table = oracle["table"]
     successes = 0
     fid_sum = 0.0
     weight_le1_failures = 0
     weight_counts = [0] * 6
     for k in range(trials):
         rng = np.random.default_rng((seed, k))
-        letters = []
+        index = w = 0
         for _ in range(5):
+            letter = 0
             if rng.random() < p:
-                letters.append("XYZ"[rng.integers(0, 3)])
-            else:
-                letters.append("I")
-        pattern = tuple(letters)
-        w = sum(1 for ch in pattern if ch != "I")
+                letter = 1 + int(rng.integers(0, 3))
+                w += 1
+            index = 4 * index + letter
         weight_counts[w] += 1
-        _, fid = cache.result(pattern)
+        fid = table[index][1]
         ok = fid >= SUCCESS_FIDELITY
         successes += ok
         fid_sum += fid
@@ -251,13 +334,14 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     failure_rate = 1 - successes / trials
     predicted = predicted_failure_rate(p, oracle)
     sigma = math.sqrt(max(predicted * (1 - predicted), 1e-12) / trials)
+    p_value = binomial_p_value(trials - successes, trials, predicted)
     details = {
         "p": p,
         "xi": xi,
         "failure_rate": failure_rate,
         "predicted_failure_rate": predicted,
         "binomial_sigma": sigma,
-        "within_5_sigma": abs(failure_rate - predicted) <= 5 * sigma,
+        "within_5_sigma": p_value >= FIVE_SIGMA_P_VALUE,
         "weight_le1_failures": weight_le1_failures,
         "weight_histogram": weight_counts,
         "weight2_failure_fraction": oracle["weights"]["2"]["failure_fraction"],

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +95,50 @@ def test_depolarizing_validates_arguments():
         harness.Depolarizing(1.5)
     with pytest.raises(ValueError):
         harness.run_depolarizing(0.1, 0)
+    for p in (2, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            harness.run_depolarizing(p, 10)
+
+
+def _brute_p_value(k, n, q):
+    pmf = [math.comb(n, j) * q**j * (1 - q)**(n - j) for j in range(n + 1)]
+    return min(1.0, 2 * min(sum(pmf[:k + 1]), sum(pmf[k:])))
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+@pytest.mark.parametrize("q", [0.002, 0.1, 0.5, 0.93])
+def test_binomial_p_value_matches_direct_sum(n, q):
+    for k in range(n + 1):
+        exact = _brute_p_value(k, n, q)
+        assert math.isclose(harness.binomial_p_value(k, n, q), exact,
+                            rel_tol=1e-9, abs_tol=1e-300)
+
+
+def test_binomial_p_value_degenerate_rates():
+    assert harness.binomial_p_value(0, 100, 0.0) == 1.0
+    assert harness.binomial_p_value(1, 100, 0.0) == 0.0
+    assert harness.binomial_p_value(100, 100, 1.0) == 1.0
+    assert harness.binomial_p_value(99, 100, 1.0) == 0.0
+
+
+def test_five_sigma_check_has_no_false_alarm_at_small_p():
+    """Seed 275 at p = 1e-3 sees 2 failures where about 0.1 are expected;
+    the normal approximation called that a 5-sigma excursion."""
+    rep = harness.run_depolarizing(1e-3, 10_000, seed=275)
+    assert rep.trials - rep.success_count == 2
+    assert rep.details["within_5_sigma"]
+    assert rep.details["weight_le1_failures"] == 0
+
+
+def test_five_sigma_check_detects_a_wrong_prediction(oracle):
+    """Zeroing the weight-2 failure fraction makes the prediction wrong by
+    far more than chance allows; the check must say so."""
+    wrong = copy.deepcopy(oracle)
+    wrong["weights"]["2"]["failure_fraction"] = 0.0
+    rep = harness.run_depolarizing(0.05, 10_000, seed=4, oracle=wrong)
+    assert not rep.details["within_5_sigma"]
+    assert harness.run_depolarizing(0.05, 10_000, seed=4,
+                                    oracle=oracle).details["within_5_sigma"]
 
 
 def test_targeted_model_runner():
