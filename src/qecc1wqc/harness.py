@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import code5, protocols, svsim
-from .circuit import CZ, H
 from .pauli import PauliString, conjugate_pauli
 from .svsim import StateVector
 
@@ -87,7 +86,7 @@ def _random_qubit(rng) -> tuple[complex, complex]:
 
 
 def _op_counts() -> dict:
-    return {"two_qubit_gates": protocols.build_teleport_circuit().two_qubit_gate_count()}
+    return {"two_qubit_gates": protocols.TELEPORT_TWO_QUBIT_GATES}
 
 
 WEIGHT1_LABELS = tuple(lbl for lbl in code5.SYNDROME_TABLE if lbl != "I")
@@ -134,17 +133,16 @@ _LOGICAL_X, _LOGICAL_Z = code5.logical_x(), code5.logical_z()
 
 
 def _tail_circuit(stage: str) -> list:
-    """Instructions of the hop that run after an error injected in ``stage``.
-
-    A slice of the full hop circuit: the decoder on A for ``protected``;
-    the hub fan, the encoder of B and the decoder for ``after_encode_a``.
+    """Instructions of the hop that run after an error injected in ``stage``:
+    the decoder on A for ``protected``; the hub fan, the encoder of B and the
+    decoder for ``after_encode_a``.
     """
     if stage not in protocols.ERROR_STAGES:
         raise ValueError(f"unknown error stage {stage!r}")
-    hop = protocols.build_teleport_circuit(include_decode=True).instructions
+    tail = protocols.HOP_DECODE_A.instructions
     if stage == "protected":
-        return hop[len(hop) - len(code5.build_decoder(0, 10).instructions):]
-    return hop[len(code5.build_encoder(0, 10).instructions):]
+        return tail
+    return protocols.HOP_FAN_ENCODE_B.instructions + tail
 
 
 def _propagate(p: PauliString, tail: list) -> PauliString:
@@ -176,10 +174,10 @@ def _output_overlaps(psi, xi: float) -> dict[tuple[int, int, int, int], float]:
     phi = H Rz(xi) psi is the ideal output; phi_a = H Rz((-1)^a xi) psi.
     The overlap does not depend on the measurement outcome m.
     """
-    phi = _oracle_gate_product(psi, [xi])
+    phi = protocols.h_rz_product(psi, [xi])
     out = {}
     for a in (0, 1):
-        phi_a = _oracle_gate_product(psi, [-xi if a else xi])
+        phi_a = protocols.h_rz_product(psi, [-xi if a else xi])
         for b, lx, lz in itertools.product((0, 1), repeat=3):
             v = phi_a[::-1] if b else phi_a
             if lz:
@@ -368,15 +366,6 @@ def run_targeted(model: Targeted, psi=None, xi: float = 0.7,
 # -- multi-hop two-column computation ------------------------------------------
 
 
-def _oracle_gate_product(psi, xis) -> np.ndarray:
-    """prod_k H Rz(xi_k) applied to a single qubit, hop order first."""
-    v = np.array(psi, dtype=complex)
-    for xi in xis:
-        v = np.array([v[0] * np.exp(-1j * xi / 2), v[1] * np.exp(1j * xi / 2)])
-        v = np.array([v[0] + v[1], v[0] - v[1]]) / math.sqrt(2)
-    return v
-
-
 def run_two_column_computation(xis, seed: int = 0,
                                psi=None,
                                forced_ms: list[int] | None = None) -> RunReport:
@@ -397,22 +386,11 @@ def run_two_column_computation(xis, seed: int = 0,
         hop_rng = np.random.default_rng((seed, k))
         xi_eff = xi if fx == 0 else -xi
         full = StateVector(10, np.kron(state.amps, svsim.init(5, "00000").amps))
-        svsim.apply(full, H(5))
-        for nq in range(5):
-            svsim.apply(full, CZ(nq, 5))
-        svsim.run_circuit(full, code5.build_encoder(5, 10))
-        svsim.run_circuit(full, code5.build_decoder(0, 10))
-        bits = []
-        for q in range(1, 5):
-            rec, _ = svsim.measure(full, q, "Z", rng=hop_rng)
-            bits.append(rec.outcome)
-        syndrome = code5.Syndrome(tuple(bits))
+        forced = None if forced_ms is None else forced_ms[k]
+        syndrome, rec, state = protocols._teleport_hop(full, xi_eff, hop_rng, forced)
         if str(syndrome) != "0000":
             raise AssertionError("noiseless hop produced a nonzero syndrome")
-        forced = None if forced_ms is None else forced_ms[k]
-        rec, _ = svsim.measure(full, 0, "XY", rng=hop_rng, forced=forced, xi=-xi_eff)
         m = rec.outcome
-        state = svsim.extract_pure(full, [5, 6, 7, 8, 9])
         fx, fz = m ^ fz, fx
         trials.append(TrialResult("None", str(syndrome), m, 1.0))
 
@@ -422,7 +400,7 @@ def run_two_column_computation(xis, seed: int = 0,
         svsim.apply_pauli(corrected, code5.logical_x())
     if fz:
         svsim.apply_pauli(corrected, code5.logical_z())
-    target_amp = _oracle_gate_product(psi, xis)
+    target_amp = protocols.h_rz_product(psi, xis)
     target = code5.encode_amplitudes(target_amp[0], target_amp[1])
     fid = svsim.fidelity(corrected, target)
     for t in trials:

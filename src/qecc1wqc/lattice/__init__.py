@@ -2,7 +2,7 @@ from .engine import Chain, Lattice, LatticeError, OpCountReport
 from .hop import HopReport, run_hop
 from .layouts import (NAMED_SCHEDULES, audit_schedule, build_schedule,
                       load_schedule, run_schedule, write_schedule_files)
-from .verify import (VerifyResult, run_named_schedule, target_tableau,
+from .verify import (VerifyResult, target_tableau,
                      verify_lattice_against, verify_schedule)
 
 __all__ = [
@@ -10,6 +10,6 @@ __all__ = [
     "HopReport", "run_hop",
     "NAMED_SCHEDULES", "audit_schedule", "build_schedule", "load_schedule",
     "run_schedule", "write_schedule_files",
-    "VerifyResult", "run_named_schedule", "target_tableau",
+    "VerifyResult", "target_tableau",
     "verify_lattice_against", "verify_schedule",
 ]

@@ -28,7 +28,6 @@ from ..circuit import CZ, Gate
 from ..pauli import PauliString
 from ..tableau import Tableau
 
-ROLES = ("data", "ancilla", "inactive")
 _SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
 
 
@@ -104,13 +103,6 @@ class Lattice:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise LatticeError(f"cell {rc} outside the grid")
         return r * self.cols + c
-
-    def role(self, rc: tuple[int, int]) -> str:
-        if rc in self.data_cells.values():
-            return "data"
-        if rc in self.active:
-            return "ancilla"
-        return "inactive"
 
     def fx(self, rc) -> int:
         return self.frame_x.get(tuple(rc), 0)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import code5
-from ..tableau import Tableau
-from .engine import Lattice, LatticeError
+from .engine import LatticeError
 from .layouts import (GRID_ROWS, e1_adjoint_stage_steps, e1_stage_steps,
                       e2_stage_steps, fan_stage_steps, run_schedule,
                       wheel_cells)
+from .verify import target_tableau, verify_lattice_against
 
 HOP_GRID = [GRID_ROWS, 35]
 A_BASE = 0
@@ -148,17 +148,8 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
         for k in b_cells:
             lat.add_frame_pauli(b_cells[k], x=1)
 
-    # target: H|+> = |0>, encoded
-    target = Tableau.initialized(5)
-    for ins in code5.build_encoder().instructions:
-        target.apply(ins.gate)
-    try:
-        sub = lat.data_subtableau(["6", "7", "8", "9", "10"])
-        ok = sub.stab_equal(target)
-        diag = None if ok else sub.first_difference(target)
-    except LatticeError as exc:
-        ok = False
-        diag = str(exc)
+    target, order = target_tableau("hop")
+    res = verify_lattice_against(lat, target, order, "hop")
     return HopReport(mode, prep_ops, hop_ops, str(syndrome),
-                     code5.correction_label_for(syndrome), m, ok,
-                     regions_disjoint, diag)
+                     code5.correction_label_for(syndrome), m, res.ok,
+                     regions_disjoint, res.diagnostic)

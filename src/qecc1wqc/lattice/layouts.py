@@ -387,14 +387,30 @@ def build_schedule(name: str) -> dict:
     return _with_cells_manifest(_BUILDERS[name]())
 
 
+_SCHEDULE_KEYS = ("name", "grid", "steps", "expected_global_cz")
+
+
 def load_schedule(name_or_path: str) -> dict:
     """Load a shipped named schedule or a JSON schedule file."""
     if name_or_path in _BUILDERS:
         ref = resources.files("qecc1wqc.lattice") / "data" / f"{name_or_path}.json"
         with ref.open("r") as fh:
-            return json.load(fh)
-    with open(name_or_path) as fh:
-        return json.load(fh)
+            sched = json.load(fh)
+    else:
+        try:
+            with open(name_or_path) as fh:
+                sched = json.load(fh)
+        except OSError as exc:
+            raise LatticeError(
+                f"cannot read schedule {name_or_path!r}: {exc.strerror}") from exc
+    if not isinstance(sched, dict):
+        raise LatticeError(f"{name_or_path}: a schedule must be a JSON object")
+    missing = [k for k in _SCHEDULE_KEYS if k not in sched]
+    if "data_cells" not in sched and "cells" not in sched:
+        missing.append("data_cells or cells")
+    if missing:
+        raise LatticeError(f"{name_or_path}: schedule lacks {', '.join(missing)}")
+    return sched
 
 
 # -- execution and static audit ------------------------------------------------

@@ -4,59 +4,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import code5
-from ..circuit import CZ, Circuit, GateApp, H
-from ..tableau import Tableau
+from .. import code5, protocols
+from ..circuit import CZ, Circuit
+from ..tableau import Tableau, run_gates
 from .engine import Lattice, LatticeError
 from .layouts import build_schedule, run_schedule
 
 
-def _apply_circuit(t: Tableau, c: Circuit) -> Tableau:
-    for ins in c.instructions:
-        if isinstance(ins, GateApp):
-            t.apply(ins.gate)
-    return t
+def _star(n: int, hub: int) -> Circuit:
+    return Circuit(n).extend(CZ(hub, q) for q in range(n) if q != hub)
+
+
+def _labels(first: int, last: int) -> tuple[str, ...]:
+    return tuple(str(i) for i in range(first, last + 1))
+
+
+# Reference states: schedule name -> (initial symbols, circuit, data-label
+# order).  The circuits are the protocol builders the schedules compile.
+REFERENCES = {
+    "E1_lattice": ("+++++", _star(5, 0), _labels(1, 5)),
+    "E2_lattice": ("+++++", code5.build_E2(), _labels(1, 5)),
+    "GHZ6_lattice": ("++++++", _star(6, 5), _labels(1, 6)),
+    "LP_full": ("+00000", protocols.build_logical_physical_circuit(), _labels(1, 6)),
+    "horseshoe_lattice": ("+0000" + "0" * 10 + "+0000",
+                          protocols.build_horseshoe_fig_order_circuit(), _labels(1, 20)),
+    # the hop teleports |+> with xi = 0, leaving H|+> = |0> encoded on B
+    "hop": ("00000", code5.build_encoder(), _labels(6, 10)),
+}
 
 
 def target_tableau(name: str) -> tuple[Tableau, list[str]]:
     """Reference tableau and the data-label order it is expressed in."""
-    if name == "E1_lattice":
-        t = Tableau.initialized(5, "+++++")
-        c = Circuit(5)
-        for q in range(1, 5):
-            c.append(CZ(0, q))
-        return _apply_circuit(t, c), ["1", "2", "3", "4", "5"]
-    if name == "E2_lattice":
-        t = Tableau.initialized(5, "+++++")
-        return _apply_circuit(t, code5.build_E2()), ["1", "2", "3", "4", "5"]
-    if name == "GHZ6_lattice":
-        t = Tableau.initialized(6, "++++++")
-        c = Circuit(6)
-        for q in range(5):
-            c.append(CZ(q, 5))
-        return _apply_circuit(t, c), ["1", "2", "3", "4", "5", "6"]
-    if name == "LP_full":
-        t = Tableau.initialized(6, ["+", "0", "0", "0", "0", "+"])
-        c = Circuit(6)
-        c.extend(code5.build_encoder(0, 6).instructions)
-        for q in range(5):
-            c.append(CZ(q, 5))
-        return _apply_circuit(t, c), ["1", "2", "3", "4", "5", "6"]
-    if name == "horseshoe_lattice":
-        init = (["+"] + ["0"] * 4) * 4
-        t = Tableau.initialized(20, init)
-        c = Circuit(20)
-        c.extend(code5.build_encoder(0, 20).instructions)
-        c.extend(code5.build_encoder(15, 20).instructions)
-        c.append(CZ(5, 10))
-        for q in range(5):
-            c.append(CZ(q, 5))
-        for q in range(15, 20):
-            c.append(CZ(q, 10))
-        c.extend(code5.build_encoder(5, 20).instructions)
-        c.extend(code5.build_encoder(10, 20).instructions)
-        return _apply_circuit(t, c), [str(i) for i in range(1, 21)]
-    raise LatticeError(f"no target defined for schedule {name!r}")
+    if name not in REFERENCES:
+        raise LatticeError(f"no target defined for schedule {name!r}")
+    init, circuit, order = REFERENCES[name]
+    return run_gates(Tableau.initialized(circuit.n, init), circuit.gates()), list(order)
 
 
 @dataclass
@@ -92,15 +74,8 @@ def verify_lattice_against(lat: Lattice, target: Tableau,
                         sub.first_difference(target))
 
 
-def run_named_schedule(name: str, seed=None) -> tuple[Lattice, dict]:
-    """Execute a named schedule; returns the lattice and its count report."""
-    sched = build_schedule(name)
-    lat = run_schedule(sched, seed=seed)
-    return lat, lat.counts.to_json_obj()
-
-
 def verify_schedule(name: str, seed=None) -> VerifyResult:
     """Run a named schedule and compare, frame-corrected, with its target."""
-    lat, _ = run_named_schedule(name, seed=seed)
+    lat = run_schedule(build_schedule(name), seed=seed)
     target, order = target_tableau(name)
     return verify_lattice_against(lat, target, order, name)

@@ -1,4 +1,4 @@
-"""Signed Pauli strings, Clifford conjugation rules, and byproduct frames.
+"""Signed Pauli strings and Clifford conjugation rules.
 
 A Pauli operator on n qubits is stored in the phased X/Z binary form
 
@@ -210,30 +210,3 @@ def conjugate_pauli(p: PauliString, gate) -> PauliString:
     else:
         raise NonCliffordGateError(f"cannot conjugate by gate kind {kind!r}")
     return PauliString(p.n, x, z, phase % 4)
-
-
-@dataclass(frozen=True)
-class ByproductFrame:
-    """Per-qubit (x, z) correction bits; composition is bitwise XOR."""
-
-    n: int
-    x: int = 0
-    z: int = 0
-
-    def compose(self, other: "ByproductFrame") -> "ByproductFrame":
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return ByproductFrame(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def flip_x(self, qubit: int) -> "ByproductFrame":
-        return ByproductFrame(self.n, self.x ^ (1 << qubit), self.z)
-
-    def flip_z(self, qubit: int) -> "ByproductFrame":
-        return ByproductFrame(self.n, self.x, self.z ^ (1 << qubit))
-
-    def as_pauli(self) -> PauliString:
-        """The pending correction as a phase-free Pauli string."""
-        return PauliString(self.n, self.x, self.z, 0)
-
-    def is_trivial(self) -> bool:
-        return self.x == 0 and self.z == 0

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import code5, svsim
-from .circuit import CZ, Circuit, Gate, GateApp, H, Z
+from .circuit import CZ, Circuit, Gate, H, Z
 from .graphs import Graph, graph_to_tableau, pivot, pivot_layer_gates, tableau_to_graph
 from .pauli import PauliString
 from .svsim import StateVector
-from .tableau import Tableau
+from .tableau import Tableau, run_gates
 
 GHZ_VERIFY_DEFAULT_ROUNDS = 4
 
@@ -76,16 +76,23 @@ def build_LCS2() -> tuple[Circuit, StateVector, Graph]:
 # -- logical-physical cluster state -------------------------------------------
 
 
+def build_logical_physical_circuit() -> Circuit:
+    """Encode qubits 0..4, then fan them onto the hub qubit 5."""
+    c = Circuit(6)
+    c.extend(code5.build_encoder(0, 6).instructions)
+    c.append(H(5))
+    for n in range(5):
+        c.append(CZ(n, 5))
+    return c
+
+
 def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
     """Encode + hub fan: alpha |0L>|+>_6 + beta |1L>|->_6 on six qubits."""
     amps = np.zeros(64, dtype=complex)
     amps[0] = alpha
     amps[32] = beta
     state = svsim.from_amplitudes(amps)
-    svsim.run_circuit(state, code5.build_encoder(0, 6))
-    svsim.apply(state, H(5))
-    for n in range(5):
-        svsim.apply(state, CZ(n, 5))
+    svsim.run_circuit(state, build_logical_physical_circuit())
     return state
 
 
@@ -120,12 +127,29 @@ def build_teleport_circuit(include_decode: bool = False) -> Circuit:
     return c
 
 
+# The hop cut at its two error windows: after encoding A ("after_encode_a")
+# and after encoding B ("protected").
+_HOP = build_teleport_circuit(include_decode=True).instructions
+_A_END = len(code5.build_encoder(0, 10).instructions)
+_B_END = len(_HOP) - len(code5.build_decoder(0, 10).instructions)
+HOP_ENCODE_A = Circuit(10, _HOP[:_A_END])
+HOP_FAN_ENCODE_B = Circuit(10, _HOP[_A_END:_B_END])
+HOP_DECODE_A = Circuit(10, _HOP[_B_END:])
+TELEPORT_TWO_QUBIT_GATES = build_teleport_circuit().two_qubit_gate_count()
+
+
+def h_rz_product(psi, xis) -> np.ndarray:
+    """prod_k H Rz(xi_k) applied to a single qubit, hop order first."""
+    v = np.array(psi, dtype=complex)
+    for xi in xis:
+        v = np.array([v[0] * np.exp(-1j * xi / 2), v[1] * np.exp(1j * xi / 2)])
+        v = np.array([v[0] + v[1], v[0] - v[1]]) / math.sqrt(2)
+    return v
+
+
 def teleport_target(psi: tuple[complex, complex], xi: float, m: int) -> StateVector:
     """(X^L)^m H^L Rz^L(xi) |psi^L>, via the one-qubit oracle then encoding."""
-    alpha, beta = psi
-    v = np.array([alpha, beta], dtype=complex)
-    v = np.array([v[0] * np.exp(-1j * xi / 2), v[1] * np.exp(1j * xi / 2)])
-    v = np.array([v[0] + v[1], v[0] - v[1]]) / math.sqrt(2)  # H
+    v = h_rz_product(psi, [xi])
     if m:
         v = v[::-1]
     return code5.encode_amplitudes(v[0], v[1])
@@ -177,61 +201,56 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
         raise ValueError(f"unknown error stage {error_stage!r}")
     if rng is None:
         rng = np.random.default_rng()
+    err = injected_error
+    if err is not None and err.n == 5:
+        err = PauliString(10, err.x, err.z, err.phase)
+    elif err is not None and err.n != 10:
+        raise ValueError("injected error must act on 5 or 10 qubits")
     alpha, beta = psi
 
     amps = np.zeros(1024, dtype=complex)
     amps[0] = alpha
     amps[512] = beta
     state = svsim.from_amplitudes(amps)
-
-    def inject():
-        if injected_error is None:
-            return
-        err = injected_error
-        if err.n == 5:
-            err = PauliString(10, err.x, err.z, err.phase)
-        elif err.n != 10:
-            raise ValueError("injected error must act on 5 or 10 qubits")
-        svsim.apply_pauli(state, err)
-
-    svsim.run_circuit(state, code5.build_encoder(0, 10))
-    if error_stage == "after_encode_a":
-        inject()
-    svsim.apply(state, H(5))
-    for n in range(5):
-        svsim.apply(state, CZ(n, 5))
-    svsim.run_circuit(state, code5.build_encoder(5, 10))
-    if error_stage == "protected":
-        inject()
-
-    svsim.run_circuit(state, code5.build_decoder(0, 10))
-    bits = []
-    for q in range(1, 5):
-        rec, _ = svsim.measure(state, q, "Z", rng=rng)
-        bits.append(rec.outcome)
-    syndrome = code5.Syndrome(tuple(bits))
-    corr = code5.correction_for(syndrome)
-    corr_label = code5.correction_label_for(syndrome)
-    corr10 = PauliString(10, corr.x, corr.z, corr.phase)
-    svsim.apply_pauli(state, corr10)
-
-    rec, _ = svsim.measure(state, 0, "XY", rng=rng, forced=forced_m, xi=-xi)
-    m = rec.outcome
-
-    out = svsim.extract_pure(state, [5, 6, 7, 8, 9])
-    target = teleport_target(psi, xi, m)
-    fid = svsim.fidelity(out, target)
+    svsim.run_circuit(state, HOP_ENCODE_A)
+    syndrome, rec, out = _teleport_hop(state, xi, rng, forced_m, err, error_stage)
+    fid = svsim.fidelity(out, teleport_target(psi, xi, rec.outcome))
     return TeleportReport(
-        m=m,
+        m=rec.outcome,
         syndrome=str(syndrome),
-        correction=corr_label,
+        correction=code5.correction_label_for(syndrome),
         injected_error=None if injected_error is None else injected_error.to_label(),
         error_stage=None if injected_error is None else error_stage,
         fidelity=fid,
-        two_qubit_gates=build_teleport_circuit().two_qubit_gate_count(),
+        two_qubit_gates=TELEPORT_TWO_QUBIT_GATES,
         xi=xi,
         measurement_probability=rec.probability,
     )
+
+
+def _teleport_hop(state: StateVector, xi: float, rng, forced_m: int | None = None,
+                  error: PauliString | None = None, error_stage: str = "protected"):
+    """One hop from register A (encoded) to register B (in |00000>).
+
+    Runs the fan and B's encoder, the decoder on A, reads the syndrome,
+    applies the table correction and measures qubit 0 at angle -xi; an
+    optional 10-qubit ``error`` strikes at ``error_stage``.  Mutates
+    ``state``; returns (Syndrome, XY MeasurementRecord, B StateVector).
+    """
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
+    if error is not None and error_stage == "after_encode_a":
+        svsim.apply_pauli(state, error)
+    svsim.run_circuit(state, HOP_FAN_ENCODE_B)
+    if error is not None and error_stage == "protected":
+        svsim.apply_pauli(state, error)
+    svsim.run_circuit(state, HOP_DECODE_A)
+    bits = tuple(svsim.measure(state, q, "Z", rng=rng)[0].outcome for q in range(1, 5))
+    syndrome = code5.Syndrome(bits)
+    corr = code5.correction_for(syndrome)
+    svsim.apply_pauli(state, PauliString(10, corr.x, corr.z, corr.phase))
+    rec, _ = svsim.measure(state, 0, "XY", rng=rng, forced=forced_m, xi=-xi)
+    return syndrome, rec, svsim.extract_pure(state, [5, 6, 7, 8, 9])
 
 
 # -- push-through identity -------------------------------------------------------
@@ -273,10 +292,7 @@ def push_through_check(n_random: int = 20, seed: int = 0,
         zeros = np.zeros(32, dtype=complex)
         zeros[0] = 1
         st = StateVector(10, np.kron(reg, zeros))
-        svsim.apply(st, H(5))
-        for n in range(5):
-            svsim.apply(st, CZ(n, 5))
-        svsim.run_circuit(st, code5.build_encoder(5, 10))
+        svsim.run_circuit(st, HOP_FAN_ENCODE_B)
         return st
 
     def rhs(reg: np.ndarray, with_z_layer: bool) -> StateVector:
@@ -355,11 +371,7 @@ def build_horseshoe_logical(mode: str = "tableau"):
         init = ["0"] * 20
         init[0] = "+"
         init[15] = "+"
-        t = Tableau.initialized(20, init)
-        for ins in circuit.instructions:
-            if isinstance(ins, GateApp):
-                t.apply(ins.gate)
-        return circuit, t
+        return circuit, run_gates(Tableau.initialized(20, init), circuit.gates())
     if mode == "dense":
         plus1 = np.array([1, 1], dtype=complex) / math.sqrt(2)
         zero4 = np.zeros(16, dtype=complex)

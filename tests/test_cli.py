@@ -76,6 +76,30 @@ def test_schedule_from_file(tmp_path):
                  "--verify"]) == 0
 
 
+def test_schedule_without_layer_count_rejected(tmp_path, capsys):
+    from qecc1wqc.lattice import build_schedule
+    sched = build_schedule("E2_lattice")
+    del sched["expected_global_cz"]
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(sched))
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", str(path)])
+    assert code == 2
+    assert not payload["ok"] and "expected_global_cz" in payload["error"]
+
+
+def test_missing_schedule_file_rejected(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", str(path)])
+    assert code == 2
+    assert not payload["ok"] and "missing.json" in payload["error"]
+
+
+def test_lattice_rejects_unknown_action(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "bogus", "--schedule", "E1_lattice"])
+    assert exc.value.code == 2
+
+
 def _error_report(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -126,3 +150,15 @@ def test_teleport_rejects_degenerate_amplitudes(capsys, amps):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "--alpha-beta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--xi", "0.3", "nan"],
+    ["teleport", "--xi", "nan"],
+    ["sweep", "--xi", "nan"],
+    ["teleport", "--xi", "inf"],
+])
+def test_non_finite_xi_rejected(capsys, argv):
+    code, payload = _error_report(capsys, argv)
+    assert code == 2
+    assert not payload["ok"] and "xi" in payload["error"]

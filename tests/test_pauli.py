@@ -3,8 +3,8 @@ import pytest
 
 from qecc1wqc import circuit
 from qecc1wqc.circuit import CZ, Gate, H, RZ, S
-from qecc1wqc.pauli import (ByproductFrame, NonCliffordGateError, PauliString,
-                            compose_pauli, conjugate_pauli)
+from qecc1wqc.pauli import (NonCliffordGateError, PauliString, compose_pauli,
+                            conjugate_pauli)
 
 
 def test_identity_and_self_inverse():
@@ -133,16 +133,3 @@ def test_label_round_trip(rng):
         p = PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)),
                         int(rng.integers(0, 4)))
         assert PauliString.from_label(p.to_label()) == p
-
-
-def test_frame_composition_group():
-    a = ByproductFrame(3, 0b101, 0b010)
-    b = ByproductFrame(3, 0b011, 0b110)
-    assert a.compose(b) == b.compose(a)
-    assert a.compose(a) == ByproductFrame(3)
-    assert a.compose(ByproductFrame(3)) == a
-
-
-def test_frame_as_pauli():
-    f = ByproductFrame(2).flip_x(0).flip_z(1)
-    assert f.as_pauli().to_label() == "+XZ"
