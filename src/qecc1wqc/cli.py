@@ -16,8 +16,8 @@ import numpy as np
 
 from . import code5, harness, protocols, svsim
 from .harness import SCHEMA
-from .lattice import (audit_schedule, load_schedule, run_hop, run_schedule,
-                      target_tableau, verify_lattice_against)
+from .lattice import (load_schedule, run_hop, run_schedule, target_tableau,
+                      verify_lattice_against)
 from .lattice.layouts import NAMED_SCHEDULES
 from .pauli import PauliString
 
@@ -170,7 +170,6 @@ def cmd_lattice(args) -> int:
         return _emit(args, payload, ok)
 
     sched = load_schedule(args.schedule)
-    audit_schedule(sched)
     lat = run_schedule(sched, seed=args.seed)
     payload = {"name": sched["name"], "counts": lat.counts.to_json_obj()}
     ok = True

@@ -375,10 +375,12 @@ def run_two_column_computation(xis, seed: int = 0,
     frame updates as (x, z) <- (m xor z, x).  The final state equals the
     frame-corrected product of the programmed gates.
     """
+    xis = list(xis)
+    if forced_ms is not None and len(forced_ms) != len(xis):
+        raise ValueError(f"forced_ms has {len(forced_ms)} entries for {len(xis)} hops")
     rng = np.random.default_rng(seed)
     if psi is None:
         psi = _random_qubit(rng)
-    xis = list(xis)
     state = code5.encode(psi)
     fx = fz = 0
     trials = []

@@ -13,6 +13,11 @@ in X implements CZ between the endpoints up to Z byproducts:
 X measurements and finished by a Y measurement of the last ancilla, a
 deterministic S^dag on both endpoints, and Z_u Z_v when the Y outcome is 1.
 
+Every created edge is counted until a chain consumes it.  A chain edge must
+have been created exactly once, and a measured interior cell may carry no
+other edge, so a schedule whose layers link the wrong cells fails as it
+runs instead of leaving a wrong state behind.
+
 The byproduct frame maps ideal = frame * actual.  Every applied gate
 conjugates the frame; measurements never change it but their raw outcomes
 are reinterpreted (X flips with the Z bit, Z with the X bit, Y with both).
@@ -64,14 +69,18 @@ class Chain:
     def validate_geometry(self) -> None:
         p = self.path
         if len(set(p)) != len(p):
-            raise ValueError("chain revisits a cell")
+            raise LatticeError("chain revisits a cell")
         for a, b in self.edges():
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                raise ValueError(f"chain cells {a} and {b} are not adjacent")
+                raise LatticeError(f"chain cells {a} and {b} are not adjacent")
 
 
 class LatticeError(ValueError):
     pass
+
+
+def _edge(a: tuple[int, int], b: tuple[int, int]) -> tuple:
+    return (a, b) if a <= b else (b, a)
 
 
 class Lattice:
@@ -84,10 +93,14 @@ class Lattice:
         self.n = rows * cols
         self.tab = Tableau.initialized(self.n)
         self.data_cells = dict(data_cells or {})
+        for rc in self.data_cells.values():
+            self.qubit(rc)
         self.active: set[tuple[int, int]] = set()
         self.ever_measured: set[tuple[int, int]] = set()
         self.frame_x: dict[tuple[int, int], int] = {}
         self.frame_z: dict[tuple[int, int], int] = {}
+        # created edges not yet consumed by a chain -> times created
+        self.pending: dict[tuple, int] = {}
         self.counts = OpCountReport()
         self.slots: dict[str, int] = {}
         self._rng = np.random.default_rng()
@@ -123,9 +136,12 @@ class Lattice:
             if rc in self.active:
                 raise LatticeError(f"cell {rc} is active; measure it before re-preparing")
             q = self.qubit(rc)
+            gates = _SYMBOL_GATES.get(str(sym))
+            if gates is None:
+                raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
             if rc in self.ever_measured:
                 self.tab.reset_to_zero(q, rng=self._rng)
-            for kind in _SYMBOL_GATES[str(sym)]:
+            for kind in gates:
                 self.tab.apply(Gate(kind, (q,)))
             self.active.add(rc)
             self.frame_x.pop(rc, None)
@@ -150,12 +166,14 @@ class Lattice:
             if rc not in self.active:
                 raise LatticeError(f"local op on inactive cell {rc}")
             for kind in kinds:
-                self.tab.apply(Gate(kind, (self.qubit(rc),)))
                 self._conjugate_frame_gate(rc, kind)
+                self.tab.apply(Gate(kind, (self.qubit(rc),)))
         self.counts.local_layers += 1
 
     def _apply_cz(self, a: tuple[int, int], b: tuple[int, int]) -> None:
         self.tab.apply(CZ(self.qubit(a), self.qubit(b)))
+        e = _edge(a, b)
+        self.pending[e] = self.pending.get(e, 0) + 1
         za = self.fz(a) ^ self.fx(b)
         zb = self.fz(b) ^ self.fx(a)
         self.frame_z[a] = za
@@ -198,7 +216,9 @@ class Lattice:
         """Consume a chain: measure its interior, record byproducts, release.
 
         Returns the frame-corrected interior outcomes.  ``forced`` forces the
-        raw tableau outcomes (for exhaustive byproduct tests).
+        raw tableau outcomes (for exhaustive byproduct tests).  Each chain
+        edge must have been created exactly once, and no other edge may touch
+        an interior cell.
         """
         chain.validate_geometry()
         u, v = tuple(chain.u), tuple(chain.v)
@@ -206,6 +226,17 @@ class Lattice:
         for rc in interior:
             if rc not in self.active:
                 raise LatticeError(f"chain interior {rc} is not active")
+        for a, b in chain.edges():
+            e = _edge(tuple(a), tuple(b))
+            created = self.pending.pop(e, 0)
+            if created != 1:
+                raise LatticeError(f"chain edge {e} created {created} times")
+        for r, c in interior:
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                e = _edge((r, c), nb)
+                if e in self.pending:
+                    raise LatticeError(
+                        f"stray edge {e} touches measured interior {(r, c)}")
         k = len(interior)
         if k == 0:
             return []

@@ -28,7 +28,6 @@ re-initialization between layers.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .engine import Chain, Lattice, LatticeError
 
@@ -362,158 +361,126 @@ _BUILDERS = {
 }
 
 
-def _with_cells_manifest(sched: dict) -> dict:
-    """Attach the per-cell manifest: data cells with their first-prepared
-    initial symbol, plus every ancilla cell any step prepares."""
-    first_init: dict[tuple[int, int], str] = {}
-    for step in sched["steps"]:
-        for r, c, sym in step.get("prepare", []):
-            first_init.setdefault((r, c), sym)
-    cells = []
-    data_set = {tuple(v): k for k, v in sched["data_cells"].items()}
-    for rc, label in sorted(data_set.items()):
-        cells.append({"rc": list(rc), "role": "data", "label": label,
-                      "init": first_init.get(rc, "0")})
-    for rc in sorted(set(first_init) - set(data_set)):
-        cells.append({"rc": list(rc), "role": "ancilla",
-                      "init": first_init[rc]})
-    sched["cells"] = cells
-    return sched
-
-
 def build_schedule(name: str) -> dict:
     if name not in _BUILDERS:
         raise LatticeError(f"unknown schedule {name!r}")
-    return _with_cells_manifest(_BUILDERS[name]())
-
-
-_SCHEDULE_KEYS = ("name", "grid", "steps", "expected_global_cz")
+    return _BUILDERS[name]()
 
 
 def load_schedule(name_or_path: str) -> dict:
-    """Load a shipped named schedule or a JSON schedule file."""
+    """Build a named schedule, or read a JSON schedule file."""
     if name_or_path in _BUILDERS:
-        ref = resources.files("qecc1wqc.lattice") / "data" / f"{name_or_path}.json"
-        with ref.open("r") as fh:
+        return build_schedule(name_or_path)
+    try:
+        with open(name_or_path) as fh:
             sched = json.load(fh)
-    else:
-        try:
-            with open(name_or_path) as fh:
-                sched = json.load(fh)
-        except OSError as exc:
-            raise LatticeError(
-                f"cannot read schedule {name_or_path!r}: {exc.strerror}") from exc
+    except OSError as exc:
+        raise LatticeError(
+            f"cannot read schedule {name_or_path!r}: {exc.strerror}") from exc
     if not isinstance(sched, dict):
         raise LatticeError(f"{name_or_path}: a schedule must be a JSON object")
-    missing = [k for k in _SCHEDULE_KEYS if k not in sched]
-    if "data_cells" not in sched and "cells" not in sched:
-        missing.append("data_cells or cells")
+    missing = [k for k in ("name", *_FIELDS) if k not in sched]
     if missing:
         raise LatticeError(f"{name_or_path}: schedule lacks {', '.join(missing)}")
     return sched
 
 
-# -- execution and static audit ------------------------------------------------
+# -- execution -----------------------------------------------------------------
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_cell(obj) -> bool:
+    return isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_int, obj))
+
+
+def _cell_entries(kind: str, entries) -> list:
+    """[[row, col, x], ...] -> [((row, col), x), ...]; a local x is a gate list."""
+    out = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                and _is_cell(entry[:2])
+                and (kind == "prepare" or isinstance(entry[2], list))):
+            shape = "symbol" if kind == "prepare" else "[gates]"
+            raise LatticeError(f"{kind} entry {entry!r} is not [row, col, {shape}]")
+        out.append((tuple(entry[:2]), entry[2]))
+    return out
+
+
+def _chain(obj) -> Chain:
+    if not isinstance(obj, dict):
+        raise LatticeError(f"chain {obj!r} is not an object")
+    for key in ("u", "v"):
+        if not _is_cell(obj.get(key)):
+            raise LatticeError(f"chain {key} must be [row, col], got {obj.get(key)!r}")
+    interior = obj.get("interior")
+    if not (isinstance(interior, list) and all(map(_is_cell, interior))):
+        raise LatticeError(f"chain interior must be a list of [row, col], got {interior!r}")
+    return Chain(tuple(obj["u"]), tuple(obj["v"]), [tuple(rc) for rc in interior])
+
+
+def _run_step(lat: Lattice, step) -> None:
+    if not (isinstance(step, dict) and len(step) == 1):
+        raise LatticeError(f"a step must be an object with one key, got {step!r}")
+    (kind, body), = step.items()
+    if kind == "global_cz":
+        lat.global_cz(body)
+    elif kind not in ("prepare", "local", "chains"):
+        raise LatticeError(f"unknown step {step!r}")
+    elif not isinstance(body, list):
+        raise LatticeError(f"{kind} must be a list, got {body!r}")
+    elif kind == "prepare":
+        lat.prepare(_cell_entries(kind, body))
+    elif kind == "local":
+        lat.local_ops(_cell_entries(kind, body))
+    else:
+        for obj in body:
+            lat.measure_chain(_chain(obj))
+
+
+_FIELDS = {
+    "grid": (lambda g: isinstance(g, list) and len(g) == 2
+             and all(_is_int(x) and x > 0 for x in g), "[rows, cols]"),
+    "data_cells": (lambda d: isinstance(d, dict) and all(map(_is_cell, d.values())),
+                   "an object of label: [row, col]"),
+    "steps": (lambda steps: isinstance(steps, list), "a list"),
+    "expected_global_cz": (_is_int, "an integer"),
+}
 
 
 def run_schedule(sched: dict, seed=None) -> Lattice:
-    rows, cols = sched["grid"]
-    if "data_cells" in sched:
-        data = {k: tuple(v) for k, v in sched["data_cells"].items()}
-    else:
-        data = {c["label"]: tuple(c["rc"]) for c in sched["cells"]
-                if c.get("role") == "data"}
-    lat = Lattice(rows, cols, data)
+    """Execute a schedule on a fresh lattice, checking it as it runs.
+
+    Every step entry is type-checked, and the lattice enforces the edge
+    rule: each chain edge is created by exactly one global layer before its
+    chain is measured.  After the last step no edge may be left over and
+    the global-layer count must equal ``expected_global_cz``.  Failures
+    raise ``LatticeError`` naming the schedule and, within the run, the
+    step index.
+    """
+    name = sched.get("name")
+    if not isinstance(name, str):
+        raise LatticeError(f"schedule name must be a string, got {name!r}")
+    for key, (ok, shape) in _FIELDS.items():
+        if not ok(sched.get(key)):
+            raise LatticeError(f"{name}: {key} must be {shape}, got {sched.get(key)!r}")
+    data = {k: tuple(v) for k, v in sched["data_cells"].items()}
+    try:
+        lat = Lattice(*sched["grid"], data)
+    except LatticeError as exc:
+        raise LatticeError(f"{name}: data_cells: {exc}") from None
     if seed is not None:
         lat.seed(seed)
-    for step in sched["steps"]:
-        if "prepare" in step:
-            lat.prepare([((r, c), sym) for r, c, sym in step["prepare"]])
-        elif "local" in step:
-            lat.local_ops([((r, c), kinds) for r, c, kinds in step["local"]])
-        elif "global_cz" in step:
-            lat.global_cz(step["global_cz"])
-        elif "chains" in step:
-            for obj in step["chains"]:
-                lat.measure_chain(Chain(tuple(obj["u"]), tuple(obj["v"]),
-                                        [tuple(rc) for rc in obj["interior"]]))
-        else:
-            raise LatticeError(f"unknown step {step!r}")
+    for i, step in enumerate(sched["steps"]):
+        try:
+            _run_step(lat, step)
+        except LatticeError as exc:
+            raise LatticeError(f"{name} step {i}: {exc}") from None
+    if lat.pending:
+        raise LatticeError(f"{name}: unconsumed edges {sorted(lat.pending)[:4]}")
+    if lat.counts.global_cz_steps != sched["expected_global_cz"]:
+        raise LatticeError(f"{name}: {lat.counts.global_cz_steps} global layers, "
+                           f"expected {sched['expected_global_cz']}")
     return lat
-
-
-def audit_schedule(sched: dict) -> dict:
-    """Static replay checking that global layers create exactly the chain
-    edges: every chain edge appears exactly once before its chain is
-    consumed, interior cells see no stray edges, and nothing is left over.
-    """
-    rows, cols = sched["grid"]
-    active: set[tuple[int, int]] = set()
-    pending: dict[tuple, int] = {}
-    n_global = 0
-
-    def edge(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    for step in sched["steps"]:
-        if "prepare" in step:
-            for r, c, _sym in step["prepare"]:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise LatticeError(f"cell {(r, c)} outside grid")
-                if (r, c) in active:
-                    raise LatticeError(f"cell {(r, c)} prepared while active")
-                active.add((r, c))
-        elif "global_cz" in step:
-            n_global += 1
-            dr, dc = (1, 0) if step["global_cz"].startswith("v") else (0, 1)
-            for (r, c) in active:
-                nb = (r + dr, c + dc)
-                if nb in active:
-                    e = edge((r, c), nb)
-                    pending[e] = pending.get(e, 0) + 1
-        elif "chains" in step:
-            for obj in step["chains"]:
-                ch = Chain(tuple(obj["u"]), tuple(obj["v"]),
-                           [tuple(rc) for rc in obj["interior"]])
-                ch.validate_geometry()
-                for a, b in ch.edges():
-                    e = edge(a, b)
-                    if pending.get(e, 0) != 1:
-                        raise LatticeError(
-                            f"{sched['name']}: chain edge {e} created "
-                            f"{pending.get(e, 0)} times")
-                    del pending[e]
-                for rc in ch.interior:
-                    for e in list(pending):
-                        if rc in e:
-                            raise LatticeError(
-                                f"{sched['name']}: stray edge {e} touches "
-                                f"measured interior {rc}")
-                    active.discard(rc)
-        elif "local" in step:
-            for r, c, _kinds in step["local"]:
-                if (r, c) not in active:
-                    raise LatticeError(f"local op on inactive {(r, c)}")
-    if pending:
-        raise LatticeError(f"{sched['name']}: unconsumed edges {sorted(pending)[:4]}")
-    if n_global != sched["expected_global_cz"]:
-        raise LatticeError(
-            f"{sched['name']}: {n_global} global layers, expected "
-            f"{sched['expected_global_cz']}")
-    return {"global_cz": n_global, "ok": True}
-
-
-def write_schedule_files(directory) -> list[str]:
-    """Regenerate the shipped JSON schedule files (development helper)."""
-    import pathlib
-
-    out = []
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in NAMED_SCHEDULES:
-        sched = build_schedule(name)
-        audit_schedule(sched)
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(sched, indent=1, sort_keys=True) + "\n")
-        out.append(str(path))
-    return out

@@ -94,6 +94,46 @@ def test_missing_schedule_file_rejected(tmp_path, capsys):
     assert not payload["ok"] and "missing.json" in payload["error"]
 
 
+def _set_step(index, step):
+    def mutate(sched):
+        sched["steps"][index] = step
+    return mutate
+
+
+def _drop_chain_v(sched):
+    del sched["steps"][-1]["chains"][0]["v"]
+
+
+def _bad_symbol(sched):
+    sched["steps"][0]["prepare"][0][2] = "q"
+
+
+@pytest.mark.parametrize("mutate,expected", [
+    (lambda s: s.update(steps=5), "E2_lattice: steps must be a list, got 5"),
+    (lambda s: s.update(grid=5), "E2_lattice: grid must be [rows, cols], got 5"),
+    (_set_step(1, {"global_cz": 3}), "E2_lattice step 1: bad axis 3"),
+    (_drop_chain_v, "E2_lattice step 3: chain v must be [row, col], got None"),
+    (lambda s: s.update(data_cells=[[8, 8]]),
+     "E2_lattice: data_cells must be an object of label: [row, col]"),
+    (_bad_symbol, "E2_lattice step 0: cell (8, 8): unknown prepare symbol 'q'"),
+    (_set_step(0, {"prepare": [[0, 0]]}),
+     "E2_lattice step 0: prepare entry [0, 0] is not [row, col, symbol]"),
+    (lambda s: s.update(name=["E2"]), "schedule name must be a string, got ['E2']"),
+    (lambda s: s["data_cells"].update({"1": [99, 0]}),
+     "E2_lattice: data_cells: cell (99, 0) outside the grid"),
+], ids=["steps", "grid", "global_cz", "chain_v", "data_cells", "symbol", "prepare_entry",
+        "name", "data_cell_outside"])
+def test_malformed_schedule_file_rejected(tmp_path, capsys, mutate, expected):
+    from qecc1wqc.lattice import build_schedule
+    sched = build_schedule("E2_lattice")
+    mutate(sched)
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(sched))
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", str(path)])
+    assert code == 2
+    assert not payload["ok"] and payload["error"].startswith(expected)
+
+
 def test_lattice_rejects_unknown_action(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "bogus", "--schedule", "E1_lattice"])

@@ -90,6 +90,12 @@ def test_two_column_random_outcomes_many_seeds():
         assert rep.details["final_fidelity"] > 1 - 1e-9
 
 
+@pytest.mark.parametrize("forced_ms", [[0], [0, 1, 0]])
+def test_two_column_forced_ms_length_checked(forced_ms):
+    with pytest.raises(ValueError, match="forced_ms has"):
+        harness.run_two_column_computation([0.1, 0.2], forced_ms=forced_ms)
+
+
 def test_depolarizing_validates_arguments():
     with pytest.raises(ValueError):
         harness.Depolarizing(1.5)

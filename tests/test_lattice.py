@@ -3,14 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qecc1wqc import svsim
 from qecc1wqc.circuit import CZ, Gate
 from qecc1wqc.graphs import Graph, graph_to_tableau
-from qecc1wqc.lattice import (Lattice, LatticeError, audit_schedule,
-                              build_schedule, load_schedule, run_hop,
-                              run_schedule, target_tableau, verify_schedule)
-from qecc1wqc.lattice.layouts import NAMED_SCHEDULES
+from qecc1wqc.lattice import (Lattice, LatticeError, build_schedule, run_hop,
+                              run_schedule, verify_lattice_against,
+                              verify_schedule)
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import Tableau
 
@@ -165,7 +165,6 @@ def test_triangle_of_odd_chains_composes():
         ],
         "expected_global_cz": 2,
     }
-    audit_schedule(sched)
     target = Tableau.initialized(3, "+++")
     for a, b in ((0, 1), (0, 2), (1, 2)):
         target.apply(CZ(a, b))
@@ -184,31 +183,115 @@ def test_measured_ancillae_disentangled():
 
 
 def test_skipped_measurement_reported():
-    """Dropping one chain measurement leaves an entangled ancilla; the
-    verifier names it."""
+    """Dropping one chain measurement leaves its edges unconsumed; the run
+    names them."""
     sched = build_schedule("E1_lattice")
     # remove one chain from the final step
     bad = json.loads(json.dumps(sched))
     bad["steps"][-1]["chains"] = bad["steps"][-1]["chains"][:-1]
-    lat = run_schedule(bad, seed=1)
-    target, order = target_tableau("E1_lattice")
-    from qecc1wqc.lattice import verify_lattice_against
-    res = verify_lattice_against(lat, target, order, "E1_lattice")
+    with pytest.raises(LatticeError, match=r"E1_lattice: unconsumed edges \[\(\(8, 8\)"):
+        run_schedule(bad, seed=1)
+
+
+def test_unmeasured_ancilla_reported_by_verifier():
+    """An ancilla left entangled with the data register is named by the
+    verifier's diagnostic."""
+    lat = Lattice(1, 3, {"a": (0, 0), "b": (0, 2)})
+    lat.prepare([((0, c), "+") for c in range(3)])
+    lat.global_cz("horizontal")
+    res = verify_lattice_against(lat, _expected_cz_tableau(), ["a", "b"], "row")
     assert not res.ok
-    assert "entangled" in (res.diagnostic or "")
+    assert res.diagnostic == "cell (0, 1) is still entangled with the data register"
+
+
+# -- the edge rule and the schedule contract, checked as the schedule runs ---------
+
+
+def _row_schedule(**changes) -> dict:
+    """u = (0, 0) and v = (0, 3) linked through a two-cell chain."""
+    sched = {
+        "name": "row", "grid": [2, 4],
+        "data_cells": {"u": [0, 0], "v": [0, 3]},
+        "steps": [
+            {"prepare": [[0, c, "+"] for c in range(4)]},
+            {"global_cz": "horizontal"},
+            {"chains": [{"u": [0, 0], "v": [0, 3], "interior": [[0, 1], [0, 2]]}]},
+        ],
+        "expected_global_cz": 1,
+    }
+    sched.update(changes)
+    return sched
+
+
+_PREP, _LAYER, _CHAIN = _row_schedule()["steps"]
+
+
+@pytest.mark.parametrize("steps,expected,message", [
+    ([_PREP, _CHAIN], 0, r"row step 1: chain edge \(\(0, 0\), \(0, 1\)\) created 0 times"),
+    ([_PREP, _LAYER, _LAYER, _CHAIN], 2,
+     r"row step 3: chain edge \(\(0, 0\), \(0, 1\)\) created 2 times"),
+    ([{"prepare": _PREP["prepare"] + [[1, 1, "+"]]}, {"global_cz": "vertical"}, _LAYER,
+      _CHAIN], 2, r"row step 3: stray edge \(\(0, 1\), \(1, 1\)\) touches measured interior"),
+    ([_PREP, _LAYER], 1, r"row: unconsumed edges \[\(\(0, 0\), \(0, 1\)\)"),
+    ([_PREP, _LAYER, _CHAIN], 2, r"row: 1 global layers, expected 2"),
+    ([{"prepare": [[2, 0, "+"]]}], 0, r"row step 0: cell \(2, 0\) outside the grid"),
+    ([_PREP, _PREP], 0, r"row step 1: cell \(0, 0\) is active"),
+    ([{"local": [[1, 1, ["H"]]]}], 0, r"row step 0: local op on inactive cell \(1, 1\)"),
+], ids=["no_layer", "edge_twice", "stray_edge", "leftover", "layer_count",
+        "outside_grid", "reprepare", "local_inactive"])
+def test_schedule_run_enforces_edge_rule(steps, expected, message):
+    with pytest.raises(LatticeError, match=message):
+        run_schedule(_row_schedule(steps=steps, expected_global_cz=expected), seed=0)
+
+
+_STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@st.composite
+def grid_paths(draw, size=5):
+    """Self-avoiding paths of 3..12 cells (interior 1..10) on a size x size
+    grid; a walk that gets stuck early is kept at the length it reached."""
+    length = draw(st.integers(3, 12))
+    path = [(draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1)))]
+    while len(path) < length:
+        r, c = path[-1]
+        options = [(r + dr, c + dc) for dr, dc in _STEPS
+                   if 0 <= r + dr < size and 0 <= c + dc < size
+                   and (r + dr, c + dc) not in path]
+        if not options:
+            break
+        path.append(draw(st.sampled_from(options)))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=grid_paths(), seed=st.integers(0, 2**32 - 1))
+def test_random_chain_path(path, seed):
+    """Two global layers over a prepared path, then one chain: an induced
+    path is exactly CZ on its endpoints after the frame, and a path with a
+    shortcut edge between non-consecutive cells is rejected by the run."""
+    u, v = list(path[0]), list(path[-1])
+    sched = {
+        "name": "path", "grid": [5, 5], "data_cells": {"u": u, "v": v},
+        "steps": [
+            {"prepare": [[r, c, "+"] for r, c in path]},
+            {"global_cz": "vertical"},
+            {"global_cz": "horizontal"},
+            {"chains": [{"u": u, "v": v, "interior": [list(rc) for rc in path[1:-1]]}]},
+        ],
+        "expected_global_cz": 2,
+    }
+    induced = all(abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1
+                  for i, a in enumerate(path) for b in path[i + 2:])
+    if induced:
+        lat = run_schedule(sched, seed=seed)
+        assert lat.data_subtableau(["u", "v"]).stab_equal(_expected_cz_tableau())
+    else:
+        with pytest.raises(LatticeError, match="stray edge|unconsumed edges"):
+            run_schedule(sched, seed=seed)
 
 
 # -- named schedules -----------------------------------------------------------------
-
-
-def test_all_schedules_pass_static_audit():
-    for name in NAMED_SCHEDULES:
-        assert audit_schedule(build_schedule(name))["ok"]
-
-
-def test_shipped_schedule_files_match_generators():
-    for name in NAMED_SCHEDULES:
-        assert load_schedule(name) == build_schedule(name)
 
 
 @pytest.mark.parametrize("name,expected_ops", [
