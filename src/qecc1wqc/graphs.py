@@ -129,71 +129,37 @@ def tableau_to_graph(t: Tableau) -> tuple[Graph, list[Gate]]:
     n = work.n
     layer: list[Gate] = []
 
-    def stab_x(i):
-        return work.xs[n + i]
+    def apply(gate: Gate) -> None:
+        work.apply(gate)
+        layer.append(gate)
 
-    def x_rref() -> int:
-        rank = 0
-        for col in range(n):
-            bit = 1 << col
-            pivot_row = None
-            for i in range(rank, n):
-                if stab_x(i) & bit:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            for arr in (work.xs, work.zs, work.ph):
-                arr[n + rank], arr[n + pivot_row] = arr[n + pivot_row], arr[n + rank]
-            for i in range(n):
-                if i != rank and (stab_x(i) & bit):
-                    work._rowmult(n + i, n + rank)
-            rank += 1
-        return rank
-
-    rank = x_rref()
-    if rank < n:
-        # leading bits of the echelon rows are the pivot columns
-        pivot_cols = set()
-        for i in range(rank):
-            xi = stab_x(i)
-            pivot_cols.add((xi & -xi).bit_length() - 1)
-        free = [q for q in range(n) if q not in pivot_cols]
-        for q in free:
-            work.apply(H(q))
-            layer.append(H(q))
-        rank = x_rref()
-    if rank != n:
+    # canonical rows eliminate the x block first: their leading x bits are
+    # the pivot qubits, and a Hadamard on every other qubit fills the block
+    rows = work.canonical_stabilizers()
+    pivots = {(row.x & -row.x).bit_length() - 1 for row in rows if row.x}
+    for q in range(n):
+        if q not in pivots:
+            apply(H(q))
+    # with a full x block, canonical row q is X_q times Z on its neighbours
+    rows = work.canonical_stabilizers()
+    if any(row.x != 1 << q for q, row in enumerate(rows)):
         raise AssertionError("X-block rank deficient after Hadamard fixes")
-
-    # clear Y's on the diagonal
-    for q in range(n):
-        if (work.zs[n + q] >> q) & 1:
-            work.apply(S(q))
-            layer.append(S(q))
-    # fix signs
-    for q in range(n):
-        if work.ph[n + q] % 4 == 2:
-            work.apply(Z(q))
-            layer.append(Z(q))
-        elif work.ph[n + q] % 4 != 0:
+    for q, row in enumerate(rows):   # clear Y's on the diagonal
+        if (row.z >> q) & 1:
+            apply(S(q))
+    for q, row in enumerate(work.canonical_stabilizers()):   # fix signs
+        if row.phase == 2:
+            apply(Z(q))
+        elif row.phase != 0:
             raise AssertionError("non-Hermitian generator sign")
 
-    edges = []
-    for q in range(n):
-        zrow = work.zs[n + q]
-        for r in range(q + 1, n):
-            if (zrow >> r) & 1:
-                edges.append((q, r))
-    graph = Graph.from_edges(n, edges)
-
+    adjacency = [row.z for row in work.canonical_stabilizers()]
     # adjacency must come out symmetric with empty diagonal
     for q in range(n):
-        if (work.zs[n + q] >> q) & 1:
+        if (adjacency[q] >> q) & 1:
             raise AssertionError("leftover diagonal Z")
         for r in range(n):
-            zq = (work.zs[n + q] >> r) & 1
-            zr = (work.zs[n + r] >> q) & 1
-            if zq != zr:
+            if ((adjacency[q] >> r) & 1) != ((adjacency[r] >> q) & 1):
                 raise AssertionError("asymmetric adjacency")
-    return graph, layer
+    edges = [(q, r) for q in range(n) for r in range(q + 1, n) if (adjacency[q] >> r) & 1]
+    return Graph.from_edges(n, edges), layer

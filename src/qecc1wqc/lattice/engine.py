@@ -1,6 +1,8 @@
 """Lattice engine: global CZ layers, chain gadgets, and frame bookkeeping.
 
-Cells of a 2D grid back one tableau qubit each.  Entangling happens only
+A cell of the 2D grid gets a tableau qubit when it is first prepared and
+keeps it, so the tableau is as wide as the number of cells ever prepared,
+not the grid; ``MAX_CELLS`` bounds it.  Entangling happens only
 through axis-wise global CZ steps acting on every pair of adjacent active
 cells; selectivity comes entirely from which cells are prepared active.
 Distant CZ links are chains: a path of |+> ancillas entangled by the global
@@ -30,8 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit import CZ, Gate
-from ..pauli import PauliString
-from ..tableau import Tableau
+from ..tableau import EntangledError, Tableau
+
+# Most cells one lattice may give a qubit (the largest named schedule uses
+# 397).  Tableau memory grows with the square of this count.
+MAX_CELLS = 4096
 
 _SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
 
@@ -90,11 +95,12 @@ class Lattice:
                  data_cells: dict[str, tuple[int, int]] | None = None):
         self.rows = rows
         self.cols = cols
-        self.n = rows * cols
-        self.tab = Tableau.initialized(self.n)
+        self.tab = Tableau.initialized(0)
+        self.cells: list[tuple[int, int]] = []   # tableau qubit -> cell
+        self._qubits: dict[tuple[int, int], int] = {}
         self.data_cells = dict(data_cells or {})
         for rc in self.data_cells.values():
-            self.qubit(rc)
+            self._check_cell(rc)
         self.active: set[tuple[int, int]] = set()
         self.ever_measured: set[tuple[int, int]] = set()
         self.frame_x: dict[tuple[int, int], int] = {}
@@ -111,11 +117,38 @@ class Lattice:
 
     # -- helpers ---------------------------------------------------------------
 
-    def qubit(self, rc: tuple[int, int]) -> int:
+    @property
+    def n(self) -> int:
+        """Tableau width: the number of cells that have a qubit."""
+        return self.tab.n
+
+    def _in_grid(self, rc) -> bool:
         r, c = rc
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise LatticeError(f"cell {rc} outside the grid")
-        return r * self.cols + c
+        return 0 <= r < self.rows and 0 <= c < self.cols
+
+    def _check_cell(self, rc) -> None:
+        if not self._in_grid(rc):
+            raise LatticeError(f"cell {tuple(rc)} outside the grid")
+
+    def _allocate(self, cells: list[tuple[int, int]]) -> None:
+        """Give each new cell a fresh |0> qubit, in one tableau resize."""
+        new = [rc for rc in dict.fromkeys(cells) if rc not in self._qubits]
+        if not new:
+            return
+        if self.n + len(new) > MAX_CELLS:
+            raise LatticeError(
+                f"lattice would use {self.n + len(new)} cells; the limit is {MAX_CELLS}")
+        for rc, q in zip(new, self.tab.add_qubits(len(new))):
+            self._qubits[rc] = q
+            self.cells.append(rc)
+
+    def qubit(self, rc: tuple[int, int]) -> int:
+        """Tableau qubit of a cell; a cell without one gets a fresh |0>."""
+        rc = tuple(rc)
+        if rc not in self._qubits:
+            self._check_cell(rc)
+            self._allocate([rc])
+        return self._qubits[rc]
 
     def fx(self, rc) -> int:
         return self.frame_x.get(tuple(rc), 0)
@@ -131,8 +164,9 @@ class Lattice:
         Re-preparing a cell that is still active (entangled or not) is an
         error; only fresh or measured-and-released cells may be prepared.
         """
+        cells = [(tuple(rc), sym) for rc, sym in cells]
+        self._allocate([rc for rc, _ in cells if self._in_grid(rc)])
         for rc, sym in cells:
-            rc = tuple(rc)
             if rc in self.active:
                 raise LatticeError(f"cell {rc} is active; measure it before re-preparing")
             q = self.qubit(rc)
@@ -323,52 +357,31 @@ class Lattice:
     # -- extraction ------------------------------------------------------------------
 
     def frame_applied_tableau(self) -> Tableau:
-        """Copy of the tableau with all pending frame corrections applied."""
-        t = self.tab.copy()
-        for rc, bit in self.frame_x.items():
-            if bit:
-                t.apply(Gate("X", (self.qubit(rc),)))
-        for rc, bit in self.frame_z.items():
-            if bit:
-                t.apply(Gate("Z", (self.qubit(rc),)))
-        return t
+        """The tableau with all pending frame corrections applied.
+
+        The result shares the live tableau's X/Z blocks, read-only, so it
+        describes the lattice only until the next step changes it.
+        """
+        fx = [self.qubit(rc) for rc, bit in self.frame_x.items() if bit]
+        fz = [self.qubit(rc) for rc, bit in self.frame_z.items() if bit]
+        return self.tab.with_paulis(fx, fz)
 
     def data_subtableau(self, label_order: list[str]) -> Tableau:
         """Extract the data-cell state as a small tableau.
 
         Requires every generator of the (frame-corrected) state to be
         supported either entirely on the data cells or entirely off them;
-        raises naming a leftover entangled cell otherwise.
+        raises naming the lowest leftover entangled cell otherwise.
         """
-        t = self.frame_applied_tableau()
         data_qubits = [self.qubit(self.data_cells[lbl]) for lbl in label_order]
-        data_set = set(data_qubits)
-        kept: list[PauliString] = []
-        for gen in t.canonical_stabilizers():
-            support = {q for q in range(self.n)
-                       if gen.x_bit(q) or gen.z_bit(q)}
-            if not support:
-                continue
-            inside = support & data_set
-            if not inside:
-                continue
-            if support - data_set:
-                cell = sorted(support - data_set)[0]
-                rc = divmod(cell, self.cols)
-                raise LatticeError(
-                    f"cell {rc} is still entangled with the data register")
-            kept.append(gen)
-        if len(kept) != len(data_qubits):
+        distinct = list(dict.fromkeys(data_qubits))   # two labels may share a cell
+        try:
+            sub = self.frame_applied_tableau().restricted(distinct)
+        except EntangledError as exc:
+            rc = min(self.cells[q] for q in exc.qubits)
             raise LatticeError(
-                f"expected {len(data_qubits)} data generators, found {len(kept)}")
-        m = len(data_qubits)
-        sub = Tableau.initialized(m)
-        for i, gen in enumerate(kept):
-            x = z = 0
-            for j, q in enumerate(data_qubits):
-                x |= gen.x_bit(q) << j
-                z |= gen.z_bit(q) << j
-            sub.xs[m + i] = x
-            sub.zs[m + i] = z
-            sub.ph[m + i] = gen.phase
+                f"cell {rc} is still entangled with the data register") from None
+        if len(distinct) != len(data_qubits):
+            raise LatticeError(
+                f"expected {len(data_qubits)} data generators, found {len(distinct)}")
         return sub

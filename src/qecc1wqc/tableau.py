@@ -1,14 +1,22 @@
 """Stabilizer tableau simulator (destabilizer/stabilizer generator rows).
 
-Rows are kept as integer bitmasks, one (x, z, phase) triple per generator,
-in the same phased X/Z normal form as :mod:`.pauli`:
+Every row is a bit-packed Pauli in the phased X/Z normal form of
+:mod:`.pauli`:
 
     row = i^phase * prod_q X_q^{x_q} Z_q^{z_q}
 
-Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers.  Measurement in Z
-follows the usual tableau update: a random outcome replaces the pivot
-stabilizer with +/-Z_q, a deterministic outcome is read off by multiplying
-the stabilizer partners of the anticommuting destabilizers.
+``x`` and ``z`` are ``uint64`` arrays of shape (2n, ceil(n/64)); bit q of a
+row is bit q % 64 of word q // 64.  ``ph`` holds the phases, one ``uint8``
+per row, kept in 0..3.  Rows 0..n-1 are destabilizers, rows n..2n-1
+stabilizers.  A gate on qubit q reads and rewrites one bit column of all
+rows at once, as in Stim (arXiv:2103.02202).  Measurement in Z follows
+Aaronson and Gottesman (quant-ph/0406196): a random outcome replaces the
+pivot stabilizer with +/-Z_q, a deterministic outcome is read off by
+multiplying the stabilizer partners of the anticommuting destabilizers.
+
+Every distinct numpy kernel maps more of numpy's code into memory the first
+time it runs, so tests for zero and equality reuse ``count_nonzero``,
+``flatnonzero`` and byte comparison rather than adding comparison ufuncs.
 """
 
 from __future__ import annotations
@@ -18,20 +26,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Gate
-from .pauli import (NonCliffordGateError, PauliString, _clifford_angle_index,
-                    _popcount)
+from .pauli import NonCliffordGateError, PauliString, _clifford_angle_index
 
 
 class ForcedOutcomeError(ValueError):
     """Raised when a forced outcome contradicts a deterministic measurement."""
 
 
-@dataclass
+class EntangledError(ValueError):
+    """Raised when a subsystem to extract is entangled with other qubits;
+    ``qubits`` lists those other qubits."""
+
+    def __init__(self, qubits: list[int]):
+        super().__init__(f"subsystem is entangled with qubits {qubits}")
+        self.qubits = qubits
+
+
+def _words(n: int) -> int:
+    return (n + 63) // 64
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(rows, m) array of 0/1 -> (rows, ceil(m/64)) packed ``uint64`` rows."""
+    rows, m = bits.shape
+    packed = np.zeros((rows, 8 * _words(m)), dtype=np.uint8)
+    packed[:, :(m + 7) // 8] = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`_pack_bits`: (rows, words) -> (rows, m) of 0/1."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little")
+
+
+def _qubit_mask(n: int, qubits) -> np.ndarray:
+    """Packed row, ceil(n/64) words, with the bits of ``qubits`` set."""
+    bits = np.zeros((1, n), dtype=np.uint8)
+    bits[0, list(qubits)] = 1
+    return _pack_bits(bits)[0]
+
+
+def _row_int(row: np.ndarray) -> int:
+    return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
+
+
+def _sign_flips(zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Per row, popcount(z & x) mod 2: moving the X part of one Pauli past
+    the Z part of another flips the sign once per shared qubit."""
+    return np.bitwise_count(np.bitwise_xor.reduce(zs & xs, axis=-1)) & 1
+
+
+@dataclass(eq=False)
 class Tableau:
     n: int
-    xs: list[int]
-    zs: list[int]
-    ph: list[int]
+    x: np.ndarray
+    z: np.ndarray
+    ph: np.ndarray
 
     # -- construction --------------------------------------------------------
 
@@ -42,33 +93,70 @@ class Tableau:
             assignment = ["0"] * n
         if len(assignment) != n:
             raise ValueError("assignment length must equal qubit count")
-        xs = [0] * (2 * n)
-        zs = [0] * (2 * n)
-        ph = [0] * (2 * n)
+        w = _words(n)
+        x = np.zeros((2 * n, w), dtype=np.uint64)
+        z = np.zeros((2 * n, w), dtype=np.uint64)
         for q, sym in enumerate(assignment):
+            word, bit = q >> 6, np.uint64(1 << (q & 63))
             if str(sym) == "0":
-                xs[q] = 1 << q          # destabilizer X_q
-                zs[n + q] = 1 << q      # stabilizer   Z_q
+                x[q, word] = bit          # destabilizer X_q
+                z[n + q, word] = bit      # stabilizer   Z_q
             elif str(sym) == "+":
-                zs[q] = 1 << q          # destabilizer Z_q
-                xs[n + q] = 1 << q      # stabilizer   X_q
+                z[q, word] = bit          # destabilizer Z_q
+                x[n + q, word] = bit      # stabilizer   X_q
             else:
                 raise ValueError(f"unsupported init symbol {sym!r}")
-        return cls(n, xs, zs, ph)
+        return cls(n, x, z, np.zeros(2 * n, dtype=np.uint8))
 
     def copy(self) -> "Tableau":
-        return Tableau(self.n, list(self.xs), list(self.zs), list(self.ph))
+        return Tableau(self.n, self.x.copy(), self.z.copy(), self.ph.copy())
+
+    def add_qubits(self, k: int) -> range:
+        """Append k qubits in |0>; returns their indices."""
+        n, m = self.n, self.n + k
+        w_old, w = self.x.shape[1], _words(m)
+        grown = []
+        for block in (self.x, self.z):
+            new = np.zeros((2 * m, w), dtype=np.uint64)
+            new[:n, :w_old] = block[:n]
+            new[m:m + n, :w_old] = block[n:]
+            grown.append(new)
+        x, z = grown
+        ph = np.zeros(2 * m, dtype=np.uint8)
+        ph[:n] = self.ph[:n]
+        ph[m:m + n] = self.ph[n:]
+        added = range(n, m)
+        for q in added:
+            word, bit = q >> 6, np.uint64(1 << (q & 63))
+            x[q, word] = bit          # destabilizer X_q
+            z[m + q, word] = bit      # stabilizer   Z_q
+        self.n, self.x, self.z, self.ph = m, x, z, ph
+        return added
+
+    def with_paulis(self, x_qubits, z_qubits) -> "Tableau":
+        """This state with X on ``x_qubits`` and Z on ``z_qubits`` applied.
+
+        Paulis only flip row signs (X_q those rows with z_q set, Z_q those
+        with x_q set), so the result shares the X/Z blocks, read-only, and
+        owns only a new phase vector.
+        """
+        flips = (_sign_flips(self.z, _qubit_mask(self.n, x_qubits))
+                 ^ _sign_flips(self.x, _qubit_mask(self.n, z_qubits)))
+        x, z = self.x.view(), self.z.view()
+        x.flags.writeable = z.flags.writeable = False
+        return Tableau(self.n, x, z, (self.ph + 2 * flips) & 3)
 
     # -- row helpers ----------------------------------------------------------
 
-    def _rowmult(self, h: int, i: int) -> None:
-        """row[h] <- row[h] * row[i] with phase tracking."""
-        self.ph[h] = (self.ph[h] + self.ph[i] + 2 * _popcount(self.zs[h] & self.xs[i])) % 4
-        self.xs[h] ^= self.xs[i]
-        self.zs[h] ^= self.zs[i]
+    def _multiply_rows(self, rows: np.ndarray, i: int) -> None:
+        """row[h] <- row[h] * row[i] for every h in ``rows``, with phases."""
+        x, z = self.x, self.z
+        self.ph[rows] = (self.ph[rows] + self.ph[i] + 2 * _sign_flips(z[rows], x[i])) & 3
+        x[rows] ^= x[i]
+        z[rows] ^= z[i]
 
     def row_pauli(self, i: int) -> PauliString:
-        return PauliString(self.n, self.xs[i], self.zs[i], self.ph[i])
+        return PauliString(self.n, _row_int(self.x[i]), _row_int(self.z[i]), int(self.ph[i]))
 
     def stabilizer_rows(self) -> list[PauliString]:
         return [self.row_pauli(i) for i in range(self.n, 2 * self.n)]
@@ -86,51 +174,41 @@ class Tableau:
             kind = ("NOP", "S", "Z", "SDG")[_clifford_angle_index(g.xi)]
         if kind == "NOP":
             return self
+        x, z, ph = self.x, self.z, self.ph
         if kind == "CZ":
             a, b = g.targets
-            for i in range(2 * self.n):
-                xa, xb = (self.xs[i] >> a) & 1, (self.xs[i] >> b) & 1
-                self.zs[i] ^= (xb << a) | (xa << b)
-                self.ph[i] = (self.ph[i] + 2 * (xa & xb)) % 4
+            wa, sa = a >> 6, a & 63
+            wb, sb = b >> 6, b & 63
+            xa = (x[:, wa] >> sa) & 1
+            xb = (x[:, wb] >> sb) & 1
+            z[:, wa] ^= xb << sa
+            z[:, wb] ^= xa << sb
+            ph += (xa & xb) << 1
+            ph &= 3
             return self
         (t,) = g.targets
-        bit = 1 << t
-        if kind == "H":
-            for i in range(2 * self.n):
-                xt, zt = self.xs[i] & bit, self.zs[i] & bit
-                if bool(xt) != bool(zt):
-                    self.xs[i] ^= bit
-                    self.zs[i] ^= bit
-                elif xt and zt:
-                    self.ph[i] = (self.ph[i] + 2) % 4
-        elif kind in ("S", "SDG"):
-            d = 1 if kind == "S" else 3
-            for i in range(2 * self.n):
-                if self.xs[i] & bit:
-                    self.zs[i] ^= bit
-                    self.ph[i] = (self.ph[i] + d) % 4
-        elif kind == "X":
-            for i in range(2 * self.n):
-                if self.zs[i] & bit:
-                    self.ph[i] = (self.ph[i] + 2) % 4
-        elif kind == "Z":
-            for i in range(2 * self.n):
-                if self.xs[i] & bit:
-                    self.ph[i] = (self.ph[i] + 2) % 4
-        elif kind == "Y":
-            for i in range(2 * self.n):
-                if bool(self.xs[i] & bit) != bool(self.zs[i] & bit):
-                    self.ph[i] = (self.ph[i] + 2) % 4
-        else:
+        w, s = t >> 6, t & 63
+        if kind not in ("H", "S", "SDG", "X", "Y", "Z"):
             raise NonCliffordGateError(f"unsupported gate kind {kind!r}")
-        return self
-
-    def apply_pauli(self, p: PauliString) -> "Tableau":
-        for q in range(self.n):
-            if p.x_bit(q):
-                self.apply(Gate("X", (q,)))
-            if p.z_bit(q):
-                self.apply(Gate("Z", (q,)))
+        xt = (x[:, w] >> s) & 1
+        if kind in ("S", "SDG"):
+            z[:, w] ^= xt << s
+            d = xt if kind == "S" else 3 * xt
+        elif kind == "Z":
+            d = xt << 1
+        else:
+            zt = (z[:, w] >> s) & 1
+            if kind == "H":
+                flip = (xt ^ zt) << s
+                x[:, w] ^= flip
+                z[:, w] ^= flip
+                d = (xt & zt) << 1
+            elif kind == "X":
+                d = zt << 1
+            else:  # Y
+                d = (xt ^ zt) << 1
+        ph += d
+        ph &= 3
         return self
 
     # -- measurement ------------------------------------------------------------
@@ -138,39 +216,42 @@ class Tableau:
     def measure_z(self, q: int, rng=None, forced: int | None = None):
         """Measure Z on qubit q.  Returns (outcome, deterministic)."""
         n = self.n
-        bit = 1 << q
-        pivot = None
-        for i in range(n, 2 * n):
-            if self.xs[i] & bit:
-                pivot = i
-                break
+        w, s = q >> 6, q & 63
+        col = (self.x[:, w] >> s) & 1
+        stab_hits = np.flatnonzero(col[n:])
 
-        if pivot is not None:
-            for i in range(2 * n):
-                if i != pivot and (self.xs[i] & bit):
-                    self._rowmult(i, pivot)
+        if stab_hits.size:
+            pivot = n + int(stab_hits[0])
+            col[pivot] = 0
+            self._multiply_rows(np.flatnonzero(col), pivot)
             # old stabilizer becomes the destabilizer partner
             d = pivot - n
-            self.xs[d], self.zs[d], self.ph[d] = self.xs[pivot], self.zs[pivot], self.ph[pivot]
+            self.x[d], self.z[d], self.ph[d] = self.x[pivot], self.z[pivot], self.ph[pivot]
             if forced is not None:
                 outcome = int(forced)
             else:
                 if rng is None:
                     rng = np.random.default_rng()
                 outcome = int(rng.integers(0, 2))
-            self.xs[pivot] = 0
-            self.zs[pivot] = bit
+            self.x[pivot] = 0
+            self.z[pivot] = 0
+            self.z[pivot, w] = np.uint64(1 << s)
             self.ph[pivot] = 2 * outcome
             return outcome, False
 
-        # deterministic: multiply stabilizer partners of anticommuting destabs
-        sx, sz, sp = 0, 0, 0
-        for i in range(n):
-            if self.xs[i] & bit:
-                sp = (sp + self.ph[n + i] + 2 * _popcount(sz & self.xs[n + i])) % 4
-                sx ^= self.xs[n + i]
-                sz ^= self.zs[n + i]
-        if sx != 0 or sz != bit or sp % 2 != 0:
+        # deterministic: multiply the stabilizer partners of the anticommuting
+        # destabilizers in row order; the k-th factor picks up the sign of
+        # moving its X part past the Z parts of the factors before it
+        rows = np.flatnonzero(col) + n
+        xs, zs = self.x[rows], self.z[rows]
+        before = np.bitwise_xor.accumulate(zs, axis=0)[:-1]
+        sp = (int(self.ph[rows].sum(dtype=np.int64))
+              + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))) % 4
+        target = np.zeros(self.z.shape[1], dtype=np.uint64)
+        target[w] = np.uint64(1 << s)
+        if (np.count_nonzero(np.bitwise_xor.reduce(xs, axis=0))
+                or np.bitwise_xor.reduce(zs, axis=0).tobytes() != target.tobytes()
+                or sp % 2 != 0):
             raise AssertionError("deterministic measurement did not reduce to +/-Z")
         outcome = 0 if sp == 0 else 1
         if forced is not None and int(forced) != outcome:
@@ -209,53 +290,83 @@ class Tableau:
 
     # -- canonical form and equality ----------------------------------------------
 
+    def _canonical_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Packed (x, z, phase) of the row-reduced echelon generators.
+
+        Columns are eliminated x-block first, then z, each in qubit order;
+        the result is unique for the signed stabilizer group.
+        """
+        n, w = self.n, self.x.shape[1]
+        rows = np.concatenate([self.x[n:], self.z[n:]], axis=1)
+        ph = self.ph[n:].copy()
+        rank = 0
+        for base in (0, w):
+            for q in range(n):
+                if rank == n:
+                    break
+                col = base + (q >> 6)
+                bits = (rows[:, col] >> (q & 63)) & 1
+                below = np.flatnonzero(bits[rank:])
+                if not below.size:
+                    continue
+                pivot = rank + int(below[0])
+                if pivot != rank:
+                    rows[[rank, pivot]] = rows[[pivot, rank]]
+                    ph[[rank, pivot]] = ph[[pivot, rank]]
+                    bits[[rank, pivot]] = bits[[pivot, rank]]
+                bits[rank] = 0
+                hits = np.flatnonzero(bits)
+                if hits.size:
+                    ph[hits] = (ph[hits] + ph[rank]
+                                + 2 * _sign_flips(rows[hits, w:], rows[rank, :w])) & 3
+                    rows[hits] ^= rows[rank]
+                rank += 1
+        return rows[:, :w], rows[:, w:], ph
+
     def canonical_stabilizers(self) -> list[PauliString]:
         """Row-reduced echelon generators (x-block first, then z), signed."""
-        xs = [self.xs[i] for i in range(self.n, 2 * self.n)]
-        zs = [self.zs[i] for i in range(self.n, 2 * self.n)]
-        ph = [self.ph[i] for i in range(self.n, 2 * self.n)]
-
-        def mult(h, i):
-            ph[h] = (ph[h] + ph[i] + 2 * _popcount(zs[h] & xs[i])) % 4
-            xs[h] ^= xs[i]
-            zs[h] ^= zs[i]
-
-        rank = 0
-        for col_kind, col in [(0, q) for q in range(self.n)] + [(1, q) for q in range(self.n)]:
-            vecs = xs if col_kind == 0 else zs
-            bit = 1 << col
-            pivot = None
-            for i in range(rank, self.n):
-                if vecs[i] & bit:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            xs[rank], xs[pivot] = xs[pivot], xs[rank]
-            zs[rank], zs[pivot] = zs[pivot], zs[rank]
-            ph[rank], ph[pivot] = ph[pivot], ph[rank]
-            for i in range(self.n):
-                if i != rank and (vecs[i] & bit):
-                    mult(i, rank)
-            rank += 1
-        return [PauliString(self.n, xs[i], zs[i], ph[i]) for i in range(self.n)]
+        x, z, ph = self._canonical_rows()
+        return [PauliString(self.n, _row_int(x[i]), _row_int(z[i]), int(ph[i]))
+                for i in range(self.n)]
 
     def canonical_form(self) -> "Tableau":
         """Copy with the stabilizer half in row-reduced echelon form."""
         out = Tableau.initialized(self.n)
-        for i, row in enumerate(self.canonical_stabilizers()):
-            out.xs[self.n + i] = row.x
-            out.zs[self.n + i] = row.z
-            out.ph[self.n + i] = row.phase
+        n = self.n
+        out.x[n:], out.z[n:], out.ph[n:] = self._canonical_rows()
         return out
 
     def stab_equal(self, other: "Tableau") -> bool:
         """Equality of signed stabilizer groups."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        a = [(p.x, p.z, p.phase) for p in self.canonical_stabilizers()]
-        b = [(p.x, p.z, p.phase) for p in other.canonical_stabilizers()]
-        return a == b
+        return all(a.tobytes() == b.tobytes()
+                   for a, b in zip(self._canonical_rows(), other._canonical_rows()))
+
+    def restricted(self, qubits: list[int]) -> "Tableau":
+        """The state of ``qubits``, in that order, as its own tableau.
+
+        Every canonical generator must act on ``qubits`` only or not at all;
+        otherwise raises :class:`EntangledError` naming the other qubits of
+        the generators that act on both sides.
+        """
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {qubits}")
+        x, z, ph = self._canonical_rows()
+        support = x | z
+        inside = support & _qubit_mask(self.n, qubits)
+        touching = np.flatnonzero(np.bitwise_or.reduce(inside, axis=1))
+        stray = np.bitwise_or.reduce(support[touching] ^ inside[touching], axis=0)
+        if np.count_nonzero(stray):
+            raise EntangledError(np.flatnonzero(_unpack_bits(stray[None], self.n)[0]).tolist())
+        # a pure state split into two unentangled parts has exactly
+        # len(qubits) generators touching ``qubits``
+        m = len(qubits)
+        sub = Tableau.initialized(m)
+        sub.x[m:] = _pack_bits(_unpack_bits(x[touching], self.n)[:, qubits])
+        sub.z[m:] = _pack_bits(_unpack_bits(z[touching], self.n)[:, qubits])
+        sub.ph[m:] = ph[touching]
+        return sub
 
     def first_difference(self, other: "Tableau") -> str | None:
         """Label of the first differing canonical generator, for diagnostics."""
@@ -289,9 +400,11 @@ class Tableau:
 
     def is_disentangled(self, q: int) -> bool:
         """True when qubit q is in a product state with the rest."""
-        touching = [p for p in self.canonical_stabilizers()
-                    if p.x_bit(q) or p.z_bit(q)]
-        return len(touching) == 1 and touching[0].weight == 1
+        x, z, _ = self._canonical_rows()
+        support = x | z
+        touching = np.flatnonzero((support[:, q >> 6] >> (q & 63)) & 1)
+        return (touching.size == 1
+                and int(np.bitwise_count(support[touching[0]]).sum()) == 1)
 
 
 def run_gates(t: Tableau, gates) -> Tableau:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +135,20 @@ def test_malformed_schedule_file_rejected(tmp_path, capsys, mutate, expected):
     assert not payload["ok"] and payload["error"].startswith(expected)
 
 
+def test_schedule_over_cell_limit_rejected(tmp_path, capsys):
+    from qecc1wqc.lattice import MAX_CELLS
+    sched = {"name": "wide", "grid": [1000, 1000], "data_cells": {},
+             "steps": [{"prepare": [[i // 1000, i % 1000, "+"]
+                                    for i in range(MAX_CELLS + 1)]}],
+             "expected_global_cz": 0}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(sched))
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", str(path)])
+    assert code == 2
+    assert payload["error"] == (f"wide step 0: lattice would use {MAX_CELLS + 1} cells; "
+                                f"the limit is {MAX_CELLS}")
+
+
 def test_lattice_rejects_unknown_action(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "bogus", "--schedule", "E1_lattice"])
@@ -202,3 +217,18 @@ def test_non_finite_xi_rejected(capsys, argv):
     code, payload = _error_report(capsys, argv)
     assert code == 2
     assert not payload["ok"] and "xi" in payload["error"]
+
+
+# Reports of the lattice commands for seeds 0..9, keyed by argv.  They were
+# recorded with the earlier tableau (one Python-int bitmask per row, one
+# qubit per grid cell), so they pin the reports across storage changes.
+LATTICE_REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "lattice_reports.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(LATTICE_REPORTS))
+def test_lattice_reports_pinned(argv, capsys):
+    code = main(argv.split())
+    want = LATTICE_REPORTS[argv]
+    assert code == want["exit"]
+    assert json.loads(capsys.readouterr().out) == want["report"]

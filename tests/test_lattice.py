@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qecc1wqc import svsim
 from qecc1wqc.circuit import CZ, Gate
 from qecc1wqc.graphs import Graph, graph_to_tableau
-from qecc1wqc.lattice import (Lattice, LatticeError, build_schedule, run_hop,
-                              run_schedule, verify_lattice_against,
+from qecc1wqc.lattice import (MAX_CELLS, Lattice, LatticeError, build_schedule,
+                              run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import Tableau
@@ -202,6 +203,58 @@ def test_unmeasured_ancilla_reported_by_verifier():
     res = verify_lattice_against(lat, _expected_cz_tableau(), ["a", "b"], "row")
     assert not res.ok
     assert res.diagnostic == "cell (0, 1) is still entangled with the data register"
+
+
+
+def test_diagnostic_names_lowest_cell_not_first_qubit():
+    """Qubits follow preparation order; the diagnostic still names the
+    lowest (row, col) of the cells left entangled with the data."""
+    lat = Lattice(1, 4, {"a": (0, 0)})
+    lat.prepare([((0, c), "+") for c in (3, 2, 1, 0)])
+    lat.global_cz("horizontal")
+    assert lat.cells == [(0, 3), (0, 2), (0, 1), (0, 0)]
+    with pytest.raises(LatticeError, match=r"^cell \(0, 1\) is still entangled"):
+        lat.data_subtableau(["a"])
+
+
+# -- live-cell allocation ---------------------------------------------------------
+
+
+def test_large_grid_costs_only_prepared_cells():
+    """A million-cell grid allocates nothing up front; the tableau is as
+    wide as the cells prepared."""
+    tracemalloc.start()
+    try:
+        lat = Lattice(1000, 1000, {"a": (0, 0), "b": (999, 999)})
+        lat.prepare([((0, c), "+") for c in range(3)] + [((999, 999), "0")])
+        lat.global_cz("horizontal")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lat.n == 4
+    assert peak < 1 << 20
+
+
+def test_cell_keeps_its_qubit_when_reprepared():
+    lat = Lattice(1, 4, {"u": (0, 0), "v": (0, 3)})
+    lat.prepare([((0, 0), "+"), ((0, 3), "+")])
+    lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
+    qubits = [lat.qubit((0, c)) for c in range(4)]
+    lat.prepare([((0, 1), "0")])
+    assert lat.n == 4 and [lat.qubit((0, c)) for c in range(4)] == qubits
+    assert lat.tab.is_disentangled(qubits[1])
+
+
+def test_cell_limit():
+    """A step that would take the lattice past MAX_CELLS cells is rejected
+    before it allocates anything."""
+    lat = Lattice(100, 100)
+    lat.prepare([((0, c), "+") for c in range(10)])
+    too_many = [((1 + i // 100, i % 100), "+") for i in range(MAX_CELLS - 9)]
+    with pytest.raises(LatticeError, match=f"lattice would use {MAX_CELLS + 1} cells; "
+                                           f"the limit is {MAX_CELLS}"):
+        lat.prepare(too_many)
+    assert lat.n == 10 and len(lat.active) == 10
 
 
 # -- the edge rule and the schedule contract, checked as the schedule runs ---------

@@ -1,12 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qecc1wqc import code5, svsim
 from qecc1wqc.circuit import CZ, Gate, H, S
-from qecc1wqc.pauli import PauliString
-from qecc1wqc.tableau import ForcedOutcomeError, Tableau
+from qecc1wqc.pauli import PauliString, compose_pauli, conjugate_pauli
+from qecc1wqc.tableau import EntangledError, ForcedOutcomeError, Tableau, run_gates
 
 
 def test_init_zero_and_plus():
@@ -205,3 +207,208 @@ def test_tableau_agreement_random_clifford_circuits(rng):
             svsim.apply(s, g)
         for row in t.stabilizer_rows():
             assert np.allclose(row.matrix() @ s.amps, s.amps, atol=1e-8)
+
+
+# -- differential checks --------------------------------------------------------
+
+_ONE_QUBIT = ("H", "S", "SDG", "X", "Y", "Z")
+
+
+@st.composite
+def clifford_programs(draw):
+    """A qubit count n <= 8, product-state symbols, and a list of steps:
+    Clifford gates (including Clifford-angle RZ) and Z/X/Y measurements,
+    each measurement carrying the outcome to force when it is random."""
+    n = draw(st.integers(1, 8))
+    init = draw(st.text(alphabet="0+", min_size=n, max_size=n))
+    qubit = st.integers(0, n - 1)
+    one = st.builds(lambda k, q: ("gate", Gate(k, (q,))), st.sampled_from(_ONE_QUBIT), qubit)
+    rz = st.builds(lambda k, q: ("gate", Gate("RZ", (q,), xi=k * math.pi / 2)),
+                   st.integers(-3, 3), qubit)
+    meas = st.tuples(st.just("measure"), qubit, st.sampled_from("ZXY"), st.integers(0, 1))
+    steps = [one, rz, meas]
+    if n >= 2:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        steps.append(st.builds(lambda ab: ("gate", CZ(*ab)), pair))
+    program = draw(st.lists(st.one_of(steps), max_size=40))
+    return n, init, program
+
+
+def _dense_row_image(s, p: PauliString):
+    """p|s> for p = i^phase X^x Z^z: the Z factors act first."""
+    out = s.copy()
+    for kind, bits in (("Z", p.z), ("X", p.x)):
+        for q in range(p.n):
+            if (bits >> q) & 1:
+                svsim.apply(out, Gate(kind, (q,)))
+    out.amps *= 1j ** p.phase
+    return out
+
+
+def _dense_measure(s, q, basis, outcome):
+    if basis == "Y":  # outcome 0 is the +i eigenstate, as in the tableau
+        return svsim.measure(s, q, "XY", xi=math.pi / 2, forced=outcome)[0]
+    return svsim.measure(s, q, basis, forced=outcome)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(prog=clifford_programs())
+def test_tableau_matches_dense_on_random_programs(prog):
+    """Gates and forced measurements on the tableau and on the state vector:
+    deterministic outcomes agree, random ones have probability 1/2, and
+    every tableau generator stabilizes the dense state after every step."""
+    n, init, program = prog
+    t = Tableau.initialized(n, list(init))
+    s = svsim.init(n, init)
+    for step in program:
+        if step[0] == "gate":
+            t.apply(step[1])
+            svsim.apply(s, step[1])
+        else:
+            _, q, basis, bit = step
+            probe, deterministic = t.copy().measure(q, basis, rng=np.random.default_rng(0))
+            outcome = probe if deterministic else bit
+            got, det = t.measure(q, basis, forced=outcome)
+            assert (got, det) == (outcome, deterministic)
+            rec = _dense_measure(s, q, basis, outcome)
+            assert rec.probability == pytest.approx(1.0 if det else 0.5, abs=1e-9)
+        for row in t.stabilizer_rows():
+            assert np.allclose(_dense_row_image(s, row).amps, s.amps, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_rows_follow_conjugate_pauli_across_word_boundaries(n):
+    """Every destabilizer and stabilizer row after every gate equals the
+    previous row conjugated by that gate, with targets on both sides of
+    each 64-qubit word boundary."""
+    rng = np.random.default_rng(n)
+    t = Tableau.initialized(n, list(rng.choice(["0", "+"], size=n)))
+    rows = [t.row_pauli(i) for i in range(2 * n)]
+    edge = sorted({0, 1, 62, 63, 64, 65, n - 2, n - 1} & set(range(n)))
+    for _ in range(60):
+        pick = [int(rng.choice(edge)) if rng.random() < 0.6 else int(rng.integers(n))
+                for _ in range(2)]
+        kind = rng.choice(["CZ", "RZ", *_ONE_QUBIT])
+        if kind == "CZ":
+            if pick[0] == pick[1]:
+                continue
+            g = CZ(*pick)
+        elif kind == "RZ":
+            g = Gate("RZ", (pick[0],), xi=int(rng.integers(-3, 4)) * math.pi / 2)
+        else:
+            g = Gate(str(kind), (pick[0],))
+        t.apply(g)
+        rows = [conjugate_pauli(p, g) for p in rows]
+        assert [t.row_pauli(i) for i in range(2 * n)] == rows, g
+
+
+def test_long_path_measurement_crosses_words():
+    """A 130-qubit path graph state with all interior qubits measured in X
+    leaves CZ|++> on the endpoints up to the chain byproducts; re-measuring
+    an interior qubit is deterministic and repeats its outcome."""
+    n = 130
+    rng = np.random.default_rng(3)
+    t = Tableau.initialized(n, "+" * n)
+    for a in range(n - 1):
+        t.apply(CZ(a, a + 1))
+    outs = []
+    for q in range(1, n - 1):
+        o, det = t.measure_x(q, forced=int(rng.integers(0, 2)))
+        assert not det
+        outs.append(o)
+    if sum(outs[1::2]) % 2:
+        t.apply(Gate("Z", (0,)))
+    if sum(outs[0::2]) % 2:
+        t.apply(Gate("Z", (n - 1,)))
+    for a, b in (("X", "Z"), ("Z", "X")):
+        p = compose_pauli(PauliString.single(n, 0, a), PauliString.single(n, n - 1, b))
+        assert t.stabilizes(p)
+    for q in (1, 63, 64, 65, 128):
+        assert t.is_disentangled(q)
+        assert t.measure_x(q) == (outs[q - 1], True)
+
+
+def _random_clifford_tableau(n, rng, gates=200):
+    t = Tableau.initialized(n, list(rng.choice(["0", "+"], size=n)))
+    for _ in range(gates):
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        t.apply(CZ(a, b) if rng.random() < 0.4 else Gate(str(rng.choice(_ONE_QUBIT)), (a,)))
+    return t
+
+
+def _reference_canonical(rows: list[PauliString]) -> list[PauliString]:
+    """Row reduction one Python-int row at a time: x columns, then z."""
+    rows = list(rows)
+    rank = 0
+    for block in ("x", "z"):
+        for q in range(rows[0].n):
+            hit = [i for i in range(rank, len(rows)) if (getattr(rows[i], block) >> q) & 1]
+            if not hit:
+                continue
+            rows[rank], rows[hit[0]] = rows[hit[0]], rows[rank]
+            for i in range(len(rows)):
+                if i != rank and (getattr(rows[i], block) >> q) & 1:
+                    rows[i] = compose_pauli(rows[i], rows[rank])
+            rank += 1
+    return rows
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_canonical_rows_match_reference_elimination(n):
+    """Vectorized elimination equals the row-at-a-time reference, signs
+    included, after gates and random measurements."""
+    rng = np.random.default_rng(100 + n)
+    t = _random_clifford_tableau(n, rng)
+    for q in rng.choice(n, size=8, replace=False):
+        t.measure(int(q), str(rng.choice(["X", "Y", "Z"])), rng=rng)
+    assert t.canonical_stabilizers() == _reference_canonical(t.stabilizer_rows())
+
+
+def test_add_qubits_matches_wider_initial_tableau():
+    """Growing past a word boundary keeps every row, and the new qubits are
+    |0> with destabilizer X_q."""
+    rng = np.random.default_rng(9)
+    init = list(rng.choice(["0", "+"], size=60))
+    gates = [CZ(2 * k, 2 * k + 1) for k in range(30)] + [H(q) for q in range(0, 60, 7)]
+    grown = run_gates(Tableau.initialized(60, init), gates)
+    assert grown.add_qubits(10) == range(60, 70)
+    wide = run_gates(Tableau.initialized(70, init + ["0"] * 10), gates)
+    assert ([grown.row_pauli(i) for i in range(140)]
+            == [wide.row_pauli(i) for i in range(140)])
+
+
+def test_restricted_extracts_unentangled_subsystem():
+    n = 70
+    t = Tableau.initialized(n, "+" * n)
+    t.apply(CZ(2, 66))           # a pair across the word boundary
+    t.apply(S(66))
+    bell = Tableau.initialized(2, "++")
+    bell.apply(CZ(0, 1))
+    bell.apply(S(0))
+    assert t.restricted([66, 2]).stab_equal(bell)
+    with pytest.raises(EntangledError) as exc:
+        t.restricted([2, 5])
+    assert exc.value.qubits == [66]
+
+
+def test_with_paulis_flips_signs_only():
+    rng = np.random.default_rng(4)
+    t = _random_clifford_tableau(70, rng)
+    before = t.copy()
+    framed = t.with_paulis([1, 64], [64, 69])
+    expect = run_gates(t.copy(), [Gate("X", (1,)), Gate("X", (64,)),
+                                  Gate("Z", (64,)), Gate("Z", (69,))])
+    assert [framed.row_pauli(i) for i in range(140)] == [expect.row_pauli(i) for i in range(140)]
+    assert [t.row_pauli(i) for i in range(140)] == [before.row_pauli(i) for i in range(140)]
+    with pytest.raises(ValueError):
+        framed.apply(H(0))    # the shared X/Z blocks are read-only
+
+
+@pytest.mark.parametrize("gate", [Gate("Z", (128,)), CZ(0, 128), S(128)],
+                         ids=["sign_of_last_row", "z_bit_in_third_word", "y_on_last_qubit"])
+def test_stab_equal_sees_every_row_and_word(gate):
+    t = Tableau.initialized(129, "+" * 129)
+    u = t.copy().apply(gate)
+    assert t.stab_equal(t.copy())
+    assert not t.stab_equal(u) and not u.stab_equal(t)
+    assert t.first_difference(u) is not None
