@@ -1,22 +1,20 @@
-"""Gates, instructions, and the circuit intermediate representation.
+"""Gates and circuits.
 
-Circuits are the common currency between the dense simulator, the tableau
-simulator, the code builders and the lattice scheduler.  Classical control
-is expressed through integer result slots: a measurement writes its slot
-exactly once and corrections read it, so recorded runs replay exactly.
+A circuit is a gate list: the code builders and protocols emit one, and the
+dense simulator, the tableau simulator and the lattice verifier run it.
+Measurement and feed-forward belong to the protocols, which call the
+simulators directly.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
-from .pauli import PauliString, CLIFFORD_ANGLE_TOL
+from .pauli import CLIFFORD_ANGLE_TOL
 
 GATE_KINDS = ("H", "X", "Y", "Z", "S", "SDG", "RZ", "CZ")
-MEASURE_BASES = ("Z", "X", "XY")
 
 
 @dataclass(frozen=True)
@@ -80,126 +78,29 @@ def CZ(a: int, b: int) -> Gate:
     return Gate("CZ", (a, b))
 
 
-@dataclass(frozen=True)
-class GateApp:
-    gate: Gate
-
-
-@dataclass(frozen=True)
-class Measure:
-    qubit: int
-    basis: str
-    slot: int
-    xi: float | None = None
-
-    def __post_init__(self):
-        if self.basis not in MEASURE_BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        if self.basis == "XY" and self.xi is None:
-            raise ValueError("XY basis needs an angle")
-
-
-@dataclass(frozen=True)
-class CorrectIf:
-    """Apply ``pauli`` when the recorded outcome in ``slot`` is 1."""
-
-    slot: int
-    pauli: PauliString
-
-
-Instruction = Union[GateApp, Measure, CorrectIf]
-
-
 @dataclass
 class Circuit:
+    """Gates on qubits ``0..n-1``, applied in list order."""
+
     n: int
-    instructions: list[Instruction] = field(default_factory=list)
+    gates: list[Gate] = field(default_factory=list)
 
-    def append(self, item: Instruction | Gate) -> "Circuit":
-        if isinstance(item, Gate):
-            item = GateApp(item)
-        self.instructions.append(item)
+    def __post_init__(self):
+        # constructor gates get the same range check as appended ones
+        gates, self.gates = self.gates, []
+        self.extend(gates)
+
+    def append(self, gate: Gate) -> "Circuit":
+        for t in gate.targets:
+            if not 0 <= t < self.n:
+                raise ValueError(f"gate target {t} out of range")
+        self.gates.append(gate)
         return self
 
-    def extend(self, items: Iterable[Instruction | Gate]) -> "Circuit":
-        for it in items:
-            self.append(it)
+    def extend(self, gates: Iterable[Gate]) -> "Circuit":
+        for g in gates:
+            self.append(g)
         return self
-
-    def gates(self) -> list[Gate]:
-        return [i.gate for i in self.instructions if isinstance(i, GateApp)]
 
     def two_qubit_gate_count(self) -> int:
-        return sum(
-            1
-            for i in self.instructions
-            if isinstance(i, GateApp) and i.gate.is_two_qubit
-        )
-
-    def validate(self) -> None:
-        """Check target ranges and the write-once-before-read slot rule."""
-        written: set[int] = set()
-        for ins in self.instructions:
-            if isinstance(ins, GateApp):
-                for t in ins.gate.targets:
-                    if not 0 <= t < self.n:
-                        raise ValueError(f"gate target {t} out of range")
-            elif isinstance(ins, Measure):
-                if not 0 <= ins.qubit < self.n:
-                    raise ValueError(f"measured qubit {ins.qubit} out of range")
-                if ins.slot in written:
-                    raise ValueError(f"slot {ins.slot} written twice")
-                written.add(ins.slot)
-            elif isinstance(ins, CorrectIf):
-                if ins.pauli.n != self.n:
-                    raise ValueError("correction width mismatch")
-                if ins.slot not in written:
-                    raise ValueError(f"slot {ins.slot} read before write")
-
-    # -- JSON wire format ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        ops = []
-        for ins in self.instructions:
-            if isinstance(ins, GateApp):
-                g = ins.gate
-                kind = "S" if g.kind == "SDG" else g.kind
-                op: dict = {"g": kind, "t": list(g.targets)}
-                if g.kind == "RZ":
-                    op["xi"] = g.xi
-                elif g.kind == "SDG":
-                    op = {"g": "RZ", "t": list(g.targets), "xi": -math.pi / 2}
-                ops.append(op)
-            elif isinstance(ins, Measure):
-                m = {"q": ins.qubit, "basis": ins.basis, "slot": ins.slot}
-                if ins.xi is not None:
-                    m["xi"] = ins.xi
-                ops.append({"m": m})
-            else:
-                ops.append({"cif": {"slot": ins.slot, "pauli": ins.pauli.to_label()}})
-        return {"n": self.n, "ops": ops}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Circuit":
-        c = cls(int(obj["n"]))
-        for op in obj["ops"]:
-            if "g" in op:
-                kind = op["g"]
-                targets = tuple(op["t"])
-                xi = op.get("xi")
-                c.append(Gate(kind, targets, xi))
-            elif "m" in op:
-                m = op["m"]
-                c.append(Measure(m["q"], m["basis"], m["slot"], m.get("xi")))
-            elif "cif" in op:
-                c.append(CorrectIf(op["cif"]["slot"], PauliString.from_label(op["cif"]["pauli"])))
-            else:
-                raise ValueError(f"bad circuit op {op!r}")
-        return c
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        return cls.from_json_obj(json.loads(text))
+        return sum(1 for g in self.gates if g.is_two_qubit)

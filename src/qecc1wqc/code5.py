@@ -150,8 +150,8 @@ def build_E2(offset: int = 0, n: int = 5) -> Circuit:
 
 def build_encoder(offset: int = 0, n: int = 5) -> Circuit:
     c = Circuit(n)
-    c.extend(build_E1(offset, n).instructions)
-    c.extend(build_E2(offset, n).instructions)
+    c.extend(build_E1(offset, n).gates)
+    c.extend(build_E2(offset, n).gates)
     return c
 
 

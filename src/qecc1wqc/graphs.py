@@ -9,7 +9,6 @@ graph state exactly (signed stabilizer equality).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .circuit import CZ, Gate, H, S, SDG, Z
@@ -53,19 +52,8 @@ class Graph:
     def degrees(self) -> list[int]:
         return [self.degree(v) for v in range(self.n)]
 
-    def relabeled(self, mapping: dict[int, int]) -> "Graph":
-        return Graph.from_edges(
-            self.n, ((mapping.get(u, u), mapping.get(v, v)) for u, v in self.edges))
-
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Graph":
-        return cls.from_edges(int(obj["n"]), obj["edges"])
 
 
 def local_complement(g: Graph, v: int) -> Graph:

@@ -32,13 +32,6 @@ class Depolarizing:
             raise ValueError("p must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Targeted:
-    pauli: PauliString
-    stage: str = "protected"
-    kind: str = "targeted"
-
-
 @dataclass
 class TrialResult:
     injected: str
@@ -133,21 +126,21 @@ _LOGICAL_X, _LOGICAL_Z = code5.logical_x(), code5.logical_z()
 
 
 def _tail_circuit(stage: str) -> list:
-    """Instructions of the hop that run after an error injected in ``stage``:
+    """Gates of the hop that run after an error injected in ``stage``:
     the decoder on A for ``protected``; the hub fan, the encoder of B and the
     decoder for ``after_encode_a``.
     """
     if stage not in protocols.ERROR_STAGES:
         raise ValueError(f"unknown error stage {stage!r}")
-    tail = protocols.HOP_DECODE_A.instructions
+    tail = protocols.HOP_DECODE_A.gates
     if stage == "protected":
         return tail
-    return protocols.HOP_FAN_ENCODE_B.instructions + tail
+    return protocols.HOP_FAN_ENCODE_B.gates + tail
 
 
 def _propagate(p: PauliString, tail: list) -> PauliString:
-    for ins in tail:
-        p = conjugate_pauli(p, ins.gate)
+    for g in tail:
+        p = conjugate_pauli(p, g)
     return p
 
 
@@ -346,21 +339,6 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     }
     return RunReport("iid-depolarizing", seed, trials, successes,
                      fid_sum / trials, _op_counts(), details=details)
-
-
-def run_targeted(model: Targeted, psi=None, xi: float = 0.7,
-                 seed: int = 0) -> RunReport:
-    """Single run with one fixed injected Pauli in a chosen stage."""
-    rng = np.random.default_rng(seed)
-    if psi is None:
-        psi = _random_qubit(rng)
-    rep = protocols.encoded_teleport(psi, xi, injected_error=model.pauli,
-                                     error_stage=model.stage, rng=rng)
-    trial = TrialResult(model.pauli.to_label(), rep.syndrome, rep.m, rep.fidelity)
-    return RunReport("targeted", seed, 1,
-                     int(rep.fidelity >= SUCCESS_FIDELITY), rep.fidelity,
-                     _op_counts(), details={"stage": model.stage, "xi": xi},
-                     per_trial=[trial])
 
 
 # -- multi-hop two-column computation ------------------------------------------

@@ -38,7 +38,7 @@ def target_tableau(name: str) -> tuple[Tableau, list[str]]:
     if name not in REFERENCES:
         raise LatticeError(f"no target defined for schedule {name!r}")
     init, circuit, order = REFERENCES[name]
-    return run_gates(Tableau.initialized(circuit.n, init), circuit.gates()), list(order)
+    return run_gates(Tableau.initialized(circuit.n, init), circuit.gates), list(order)
 
 
 @dataclass

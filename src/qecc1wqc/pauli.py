@@ -109,12 +109,6 @@ class PauliString:
             return -1
         raise ValueError("operator is not Hermitian, sign undefined")
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        anti = _popcount(self.x & other.z) + _popcount(self.z & other.x)
-        return anti % 2 == 0
-
     def to_label(self) -> str:
         """Render as sign prefix plus letters, e.g. '+XZIIY'."""
         letters = []

@@ -79,7 +79,7 @@ def build_LCS2() -> tuple[Circuit, StateVector, Graph]:
 def build_logical_physical_circuit() -> Circuit:
     """Encode qubits 0..4, then fan them onto the hub qubit 5."""
     c = Circuit(6)
-    c.extend(code5.build_encoder(0, 6).instructions)
+    c.extend(code5.build_encoder(0, 6).gates)
     c.append(H(5))
     for n in range(5):
         c.append(CZ(n, 5))
@@ -117,21 +117,21 @@ def build_teleport_circuit(include_decode: bool = False) -> Circuit:
     cost).
     """
     c = Circuit(10)
-    c.extend(code5.build_encoder(0, 10).instructions)
+    c.extend(code5.build_encoder(0, 10).gates)
     c.append(H(5))
     for n in range(5):
         c.append(CZ(n, 5))
-    c.extend(code5.build_encoder(5, 10).instructions)
+    c.extend(code5.build_encoder(5, 10).gates)
     if include_decode:
-        c.extend(code5.build_decoder(0, 10).instructions)
+        c.extend(code5.build_decoder(0, 10).gates)
     return c
 
 
 # The hop cut at its two error windows: after encoding A ("after_encode_a")
 # and after encoding B ("protected").
-_HOP = build_teleport_circuit(include_decode=True).instructions
-_A_END = len(code5.build_encoder(0, 10).instructions)
-_B_END = len(_HOP) - len(code5.build_decoder(0, 10).instructions)
+_HOP = build_teleport_circuit(include_decode=True).gates
+_A_END = len(code5.build_encoder(0, 10).gates)
+_B_END = len(_HOP) - len(code5.build_decoder(0, 10).gates)
 HOP_ENCODE_A = Circuit(10, _HOP[:_A_END])
 HOP_FAN_ENCODE_B = Circuit(10, _HOP[_A_END:_B_END])
 HOP_DECODE_A = Circuit(10, _HOP[_B_END:])
@@ -333,21 +333,21 @@ def horseshoe_graph() -> Graph:
 def build_horseshoe_circuit() -> Circuit:
     """Chain construction: encode, fan, encode, ... (51 two-qubit gates)."""
     c = Circuit(20)
-    c.extend(code5.build_encoder(0, 20).instructions)
+    c.extend(code5.build_encoder(0, 20).gates)
     for hub, src in ((5, 0), (10, 5), (15, 10)):
         if hub != 15:
             c.append(H(hub))
         for q in range(src, src + 5):
             c.append(CZ(q, hub))
-        c.extend(code5.build_encoder(hub, 20).instructions)
+        c.extend(code5.build_encoder(hub, 20).gates)
     return c
 
 
 def build_horseshoe_fig_order_circuit() -> Circuit:
     """Endpoint-first construction: encode A and D, bridge the hubs, fan."""
     c = Circuit(20)
-    c.extend(code5.build_encoder(0, 20).instructions)
-    c.extend(code5.build_encoder(15, 20).instructions)
+    c.extend(code5.build_encoder(0, 20).gates)
+    c.extend(code5.build_encoder(15, 20).gates)
     c.append(H(5))
     c.append(H(10))
     c.append(CZ(5, 10))
@@ -355,8 +355,8 @@ def build_horseshoe_fig_order_circuit() -> Circuit:
         c.append(CZ(q, 5))
     for q in range(15, 20):
         c.append(CZ(q, 10))
-    c.extend(code5.build_encoder(5, 20).instructions)
-    c.extend(code5.build_encoder(10, 20).instructions)
+    c.extend(code5.build_encoder(5, 20).gates)
+    c.extend(code5.build_encoder(10, 20).gates)
     return c
 
 
@@ -371,7 +371,7 @@ def build_horseshoe_logical(mode: str = "tableau"):
         init = ["0"] * 20
         init[0] = "+"
         init[15] = "+"
-        return circuit, run_gates(Tableau.initialized(20, init), circuit.gates())
+        return circuit, run_gates(Tableau.initialized(20, init), circuit.gates)
     if mode == "dense":
         plus1 = np.array([1, 1], dtype=complex) / math.sqrt(2)
         zero4 = np.zeros(16, dtype=complex)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CorrectIf, Gate, GateApp, Measure
+from .circuit import Circuit, Gate
 from .pauli import PauliString
 
 MAX_QUBITS = 24
@@ -47,14 +47,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amps.copy())
-
-    def amplitude_dump(self, tol: float = 1e-12) -> list[tuple[int, float, float]]:
-        """Sparse (basis index, re, im) listing for the JSON interface."""
-        out = []
-        for idx in np.flatnonzero(np.abs(self.amps) > tol):
-            a = self.amps[idx]
-            out.append((int(idx), float(a.real), float(a.imag)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -124,13 +116,14 @@ def apply(state: StateVector, g: Gate) -> StateVector:
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
+    """Apply i^phase X^x Z^z: the Z factors act first."""
     if p.n != state.n:
         raise ValueError("Pauli width mismatch")
     for q in range(p.n):
-        if p.x_bit(q):
-            apply(state, Gate("X", (q,)))
         if p.z_bit(q):
             apply(state, Gate("Z", (q,)))
+        if p.x_bit(q):
+            apply(state, Gate("X", (q,)))
     state.amps *= 1j ** p.phase
     return state
 
@@ -215,24 +208,8 @@ def extract_pure(state: StateVector, subset) -> StateVector:
     return sub
 
 
-def run_circuit(state: StateVector, circuit: Circuit, rng=None,
-                forced: dict[int, int] | None = None):
-    """Execute a circuit; returns (records-by-slot, state).
-
-    ``forced`` maps result slots to forced outcomes.  Corrections fire when
-    the recorded outcome is 1.
-    """
-    circuit.validate()
-    records: dict[int, MeasurementRecord] = {}
-    for ins in circuit.instructions:
-        if isinstance(ins, GateApp):
-            apply(state, ins.gate)
-        elif isinstance(ins, Measure):
-            f = None if forced is None else forced.get(ins.slot)
-            rec, _ = measure(state, ins.qubit, ins.basis, rng=rng,
-                             forced=f, xi=ins.xi)
-            records[ins.slot] = rec
-        elif isinstance(ins, CorrectIf):
-            if records[ins.slot].outcome == 1:
-                apply_pauli(state, ins.pauli)
-    return records, state
+def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Apply the circuit's gates in order."""
+    for g in circuit.gates:
+        apply(state, g)
+    return state

@@ -167,6 +167,9 @@ class Tableau:
     # -- gates ----------------------------------------------------------------
 
     def apply(self, g: Gate) -> "Tableau":
+        for t in g.targets:
+            if not 0 <= t < self.n:
+                raise ValueError(f"gate target {t} out of range")
         if not g.is_clifford():
             raise NonCliffordGateError(f"non-Clifford gate {g}")
         kind = g.kind
@@ -328,13 +331,6 @@ class Tableau:
         x, z, ph = self._canonical_rows()
         return [PauliString(self.n, _row_int(x[i]), _row_int(z[i]), int(ph[i]))
                 for i in range(self.n)]
-
-    def canonical_form(self) -> "Tableau":
-        """Copy with the stabilizer half in row-reduced echelon form."""
-        out = Tableau.initialized(self.n)
-        n = self.n
-        out.x[n:], out.z[n:], out.ph[n:] = self._canonical_rows()
-        return out
 
     def stab_equal(self, other: "Tableau") -> bool:
         """Equality of signed stabilizer groups."""

@@ -219,16 +219,32 @@ def test_non_finite_xi_rejected(capsys, argv):
     assert not payload["ok"] and "xi" in payload["error"]
 
 
+def _pinned(name: str) -> dict:
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+def _assert_report(argv: str, want: dict, capsys) -> None:
+    code = main(argv.split())
+    assert code == want["exit"]
+    assert json.loads(capsys.readouterr().out) == want["report"]
+
+
 # Reports of the lattice commands for seeds 0..9, keyed by argv.  They were
 # recorded with the earlier tableau (one Python-int bitmask per row, one
 # qubit per grid cell), so they pin the reports across storage changes.
-LATTICE_REPORTS = json.loads(
-    (Path(__file__).parent / "data" / "lattice_reports.json").read_text())
+LATTICE_REPORTS = _pinned("lattice_reports.json")
+
+# Reports of the dense-simulator and small tableau/graph commands, keyed by
+# argv.  They were recorded while circuits still carried measurement and
+# feed-forward instructions and apply_pauli still applied X before Z.
+DENSE_REPORTS = _pinned("dense_reports.json")
 
 
 @pytest.mark.parametrize("argv", sorted(LATTICE_REPORTS))
 def test_lattice_reports_pinned(argv, capsys):
-    code = main(argv.split())
-    want = LATTICE_REPORTS[argv]
-    assert code == want["exit"]
-    assert json.loads(capsys.readouterr().out) == want["report"]
+    _assert_report(argv, LATTICE_REPORTS[argv], capsys)
+
+
+@pytest.mark.parametrize("argv", sorted(DENSE_REPORTS))
+def test_dense_reports_pinned(argv, capsys):
+    _assert_report(argv, DENSE_REPORTS[argv], capsys)

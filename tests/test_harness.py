@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qecc1wqc import harness
+from qecc1wqc import harness, protocols
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +147,19 @@ def test_five_sigma_check_detects_a_wrong_prediction(oracle):
                                     oracle=oracle).details["within_5_sigma"]
 
 
-def test_targeted_model_runner():
+def test_targeted_error_in_each_stage():
     from qecc1wqc.pauli import PauliString
-    model = harness.Targeted(PauliString.single(5, 2, "Y"))
-    rep = harness.run_targeted(model, psi=(0.6, 0.8), seed=2)
-    assert rep.success_count == 1
-    assert rep.per_trial[0].syndrome == code5_syndrome("X3Z3")
+    rep = protocols.encoded_teleport((0.6, 0.8), 0.7,
+                                     injected_error=PauliString.single(5, 2, "Y"),
+                                     rng=np.random.default_rng(2))
+    assert rep.fidelity >= harness.SUCCESS_FIDELITY
+    assert rep.syndrome == code5_syndrome("X3Z3")
 
-    leaky = harness.Targeted(PauliString.single(5, 2, "X"),
-                             stage="after_encode_a")
-    rep = harness.run_targeted(leaky, psi=(0.6, 0.8), seed=2)
-    assert rep.success_count == 0
+    rep = protocols.encoded_teleport((0.6, 0.8), 0.7,
+                                     injected_error=PauliString.single(5, 2, "X"),
+                                     error_stage="after_encode_a",
+                                     rng=np.random.default_rng(2))
+    assert rep.fidelity < harness.SUCCESS_FIDELITY
 
 
 def code5_syndrome(label):

@@ -3,11 +3,11 @@ import pytest
 
 from conftest import random_qubit
 from qecc1wqc import code5, protocols, svsim
-from qecc1wqc.circuit import CZ, GateApp
+from qecc1wqc.circuit import CZ
 from qecc1wqc.graphs import graph_to_tableau, tableau_to_graph
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.svsim import StateVector
-from qecc1wqc.tableau import Tableau
+from qecc1wqc.tableau import Tableau, run_gates
 
 
 # -- LCS2 ----------------------------------------------------------------------
@@ -25,17 +25,14 @@ def test_lcs2_graph_degrees_all_seven():
 
 def test_lcs2_graph_matches_circuit_tableau():
     circuit, _, graph = protocols.build_LCS2()
-    t = Tableau.initialized(10, "+" * 10)
-    for ins in circuit.instructions:
-        if isinstance(ins, GateApp):
-            t.apply(ins.gate)
+    t = run_gates(Tableau.initialized(10, "+" * 10), circuit.gates)
     back, layer = tableau_to_graph(t)
     assert back.edges == graph.edges and layer == []
 
 
 def test_lcs2_cz_order_permutation_invariant(rng):
     circuit, state, _ = protocols.build_LCS2()
-    gates = circuit.gates()
+    gates = circuit.gates
     for _ in range(3):
         order = rng.permutation(len(gates))
         shuffled = svsim.init(10, "+" * 10)
@@ -221,11 +218,7 @@ def test_horseshoe_chain_equals_endpoint_first_order():
     """The 51-gate chain circuit and the endpoint-first construction agree."""
     def run(circuit):
         init = (["+"] + ["0"] * 4) * 4
-        t = Tableau.initialized(20, init)
-        for ins in circuit.instructions:
-            if isinstance(ins, GateApp):
-                t.apply(ins.gate)
-        return t
+        return run_gates(Tableau.initialized(20, init), circuit.gates)
 
     a = run(protocols.build_horseshoe_circuit())
     b = run(protocols.build_horseshoe_fig_order_circuit())
@@ -312,9 +305,6 @@ def test_entangler_certificate_verified():
 
 def test_nine_gate_circuit_builds_its_graph():
     circuit, _ = protocols.nine_gate_entangler()
-    t = Tableau.initialized(10, "+" * 10)
-    for ins in circuit.instructions:
-        if isinstance(ins, GateApp):
-            t.apply(ins.gate)
+    t = run_gates(Tableau.initialized(10, "+" * 10), circuit.gates)
     g, layer = tableau_to_graph(t)
     assert g.edges == protocols.nine_gate_graph().edges and layer == []

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_state_vector
 from qecc1wqc import code5, svsim
-from qecc1wqc.circuit import CZ, Circuit, Gate, H, Measure, RZ
+from qecc1wqc.circuit import CZ, Circuit, Gate, H, RZ
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import Tableau
@@ -159,18 +159,16 @@ def test_measurement_statistics_within_5_sigma(rng):
 
 
 def test_replay_with_recorded_outcomes_is_bitwise(rng):
-    c = Circuit(3)
-    c.append(H(0))
-    c.append(CZ(0, 1))
-    c.append(H(1))
-    c.append(Measure(1, "Z", slot=0))
-    c.append(CZ(1, 2))
-    c.append(Measure(0, "X", slot=1))
-    s1 = svsim.init(3, "0+0")
-    records, _ = svsim.run_circuit(s1, c, rng=rng)
-    outcomes = {slot: rec.outcome for slot, rec in records.items()}
-    s2 = svsim.init(3, "0+0")
-    svsim.run_circuit(s2, c, forced=outcomes)
+    def run(forced):
+        s = svsim.run_circuit(svsim.init(3, "0+0"), Circuit(3, [H(0), CZ(0, 1), H(1)]))
+        first, _ = svsim.measure(s, 1, "Z", rng=rng, forced=forced[0])
+        svsim.apply(s, CZ(1, 2))
+        second, _ = svsim.measure(s, 0, "X", rng=rng, forced=forced[1])
+        return (first.outcome, second.outcome), s
+
+    outcomes, s1 = run((None, None))
+    again, s2 = run(outcomes)
+    assert again == outcomes
     assert np.array_equal(s1.amps, s2.amps)
 
 
@@ -219,8 +217,13 @@ def test_clifford_cross_check_with_tableau(rng):
         assert members == dense_group
 
 
-def test_amplitude_dump_sparse():
-    s = svsim.init(2, "0+")
-    dump = s.amplitude_dump()
-    assert dump == [(0, pytest.approx(1 / np.sqrt(2)), 0.0),
-                    (1, pytest.approx(1 / np.sqrt(2)), 0.0)]
+def test_apply_pauli_matches_pauli_matrix(rng):
+    """apply_pauli is i^phase X^x Z^z, the operator PauliString.matrix() builds."""
+    for n in range(1, 5):
+        for phase in range(4):
+            for _ in range(4):
+                p = PauliString(n, int(rng.integers(0, 2**n)),
+                                int(rng.integers(0, 2**n)), phase)
+                s = svsim.from_amplitudes(random_state_vector(rng, n))
+                want = p.matrix() @ s.amps
+                assert np.allclose(svsim.apply_pauli(s, p).amps, want, atol=1e-12)

@@ -128,13 +128,12 @@ def test_canonical_equality_and_sign_sensitivity():
     assert a.first_difference(b) is not None
 
 
-def test_canonical_form_is_reduced_and_equivalent():
+def test_canonical_stabilizers_are_reduced_and_equivalent():
     t = Tableau.initialized(3, "+++")
     t.apply(CZ(0, 1))
     t.apply(CZ(1, 2))
-    canon = t.canonical_form()
-    assert canon.stab_equal(t)
-    rows = canon.stabilizer_rows()
+    rows = t.canonical_stabilizers()
+    assert len(rows) == 3 and all(t.stabilizes(row) for row in rows)
     leads = []
     for row in rows:
         for col in range(6):
@@ -234,17 +233,6 @@ def clifford_programs(draw):
     return n, init, program
 
 
-def _dense_row_image(s, p: PauliString):
-    """p|s> for p = i^phase X^x Z^z: the Z factors act first."""
-    out = s.copy()
-    for kind, bits in (("Z", p.z), ("X", p.x)):
-        for q in range(p.n):
-            if (bits >> q) & 1:
-                svsim.apply(out, Gate(kind, (q,)))
-    out.amps *= 1j ** p.phase
-    return out
-
-
 def _dense_measure(s, q, basis, outcome):
     if basis == "Y":  # outcome 0 is the +i eigenstate, as in the tableau
         return svsim.measure(s, q, "XY", xi=math.pi / 2, forced=outcome)[0]
@@ -273,7 +261,7 @@ def test_tableau_matches_dense_on_random_programs(prog):
             rec = _dense_measure(s, q, basis, outcome)
             assert rec.probability == pytest.approx(1.0 if det else 0.5, abs=1e-9)
         for row in t.stabilizer_rows():
-            assert np.allclose(_dense_row_image(s, row).amps, s.amps, atol=1e-9)
+            assert np.allclose(svsim.apply_pauli(s.copy(), row).amps, s.amps, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
@@ -412,3 +400,16 @@ def test_stab_equal_sees_every_row_and_word(gate):
     assert t.stab_equal(t.copy())
     assert not t.stab_equal(u) and not u.stab_equal(t)
     assert t.first_difference(u) is not None
+
+
+@pytest.mark.parametrize("n,gate", [(3, H(-1)), (70, CZ(0, 100)), (3, CZ(0, 40)), (3, H(200))],
+                         ids=["negative", "past_n_in_second_word", "padding_bit",
+                              "past_last_word"])
+def test_apply_rejects_out_of_range_target(n, gate):
+    t = Tableau.initialized(n, "+" * n)
+    before = t.copy()
+    with pytest.raises(ValueError, match="out of range"):
+        t.apply(gate)
+    for got, want in ((t.x, before.x), (t.z, before.z), (t.ph, before.ph)):
+        assert got.tobytes() == want.tobytes()
+    assert t.generator_labels() == before.generator_labels()
