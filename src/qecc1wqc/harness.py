@@ -8,7 +8,6 @@ seed and configuration is byte-identical.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -67,9 +66,6 @@ class RunReport:
             "details": self.details,
             "per_trial": [t.to_json_obj() for t in self.per_trial],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
 def _random_qubit(rng) -> tuple[complex, complex]:

@@ -1,9 +1,11 @@
 """Dense state-vector simulator for exact verification of small protocols.
 
 Amplitude ordering: qubit 0 is the most significant bit of the basis-state
-index, so ``amps.reshape([2] * n)`` puts qubit q on axis q.  States are
-mutated in place by ``apply`` and ``measure`` and also returned, so both
-functional and imperative call styles work.
+index, so ``amps.reshape([2] * n)`` puts qubit q on axis q, and
+``amps.reshape(2**q, 2, -1)`` puts it on the middle axis, the view the gate
+and measurement kernels work on.  States are mutated in place by ``apply``
+and ``measure`` and also returned, so both functional and imperative call
+styles work.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ NORM_TOL = 1e-10
 FORCE_TOL = 1e-12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
-_SDG = _S.conj()
 
 _LOCAL = {"0": np.array([1, 0], dtype=complex),
           "1": np.array([0, 1], dtype=complex),
@@ -40,7 +37,8 @@ class StateVector:
 
     def __init__(self, n: int, amps: np.ndarray):
         self.n = n
-        self.amps = amps
+        # the kernels update reshaped views of amps in place
+        self.amps = np.ascontiguousarray(amps, dtype=complex)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -66,7 +64,11 @@ def init(n: int, assignment) -> StateVector:
         raise ValueError("assignment length must equal qubit count")
     amps = np.array([1.0 + 0j])
     for sym in assignment:
-        amps = np.kron(amps, _LOCAL[str(sym)])
+        local = _LOCAL.get(str(sym))
+        if local is None:
+            raise ValueError(f"symbol {sym!r} is not one of 0, 1, +, -")
+        # the products np.kron forms, without its overhead
+        amps = np.multiply.outer(amps, local).reshape(-1)
     return StateVector(n, amps)
 
 
@@ -83,35 +85,70 @@ def from_amplitudes(amps: np.ndarray) -> StateVector:
     return StateVector(n, v / nrm)
 
 
-def _apply_single(state: StateVector, u: np.ndarray, q: int) -> None:
-    v = state.amps.reshape([2] * state.n)
-    v = np.tensordot(u, v, axes=(1, q))
-    state.amps = np.moveaxis(v, 0, q).reshape(-1)
+# Gate kernels.  Each works on ``amps.reshape(2**q, 2, 2**(n-q-1))``, whose
+# middle axis is qubit q: ``[:, 0, :]`` holds the amplitudes with that bit 0,
+# ``[:, 1, :]`` those with it 1.  Permutations and phases are exact element
+# steps.  H is the one gate that mixes the halves; every form below runs the
+# BLAS zgemm that ``numpy.tensordot`` runs (2x2 matrix times 2-row operands),
+# so it reproduces the bits of the tensordot formulation.  Only the sign of
+# an exact zero can differ from it, here and in the element steps.
+_HALF_PHASE = {"Z": -1, "S": 1j, "SDG": -1j}
+_Y_PHASES = np.array([[-1j], [1j]])  # Y|0> = i|1>, Y|1> = -i|0>
+_H_T = _H.T
+_SLAB = 1 << 15  # amplitudes per H product, so its temporaries stay in cache
+_MIN_BLOCK = 32  # narrower blocks cost more in BLAS calls than a gather
+
+
+def _halves(amps: np.ndarray, q: int) -> np.ndarray:
+    return amps.reshape(1 << q, 2, -1)
+
+
+def _hadamard(amps: np.ndarray, q: int) -> None:
+    """H on qubit q, in place, one slab of at most _SLAB amplitudes at a time."""
+    v = _halves(amps, q)
+    blocks, _, width = v.shape
+    cols = min(width, _SLAB // 2)
+    rows = max(1, _SLAB // (2 * width))
+    for i in range(0, blocks, rows):
+        for j in range(0, width, cols):
+            _hadamard_slab(v[i:i + rows, :, j:j + cols])
+
+
+def _hadamard_slab(s: np.ndarray) -> None:
+    blocks, _, width = s.shape
+    if width == 1:  # pairs are adjacent: one (blocks x 2) @ (2 x 2) product
+        s[...] = (s.reshape(-1, 2) @ _H_T).reshape(s.shape)
+    elif width >= _MIN_BLOCK:  # a (2 x 2) @ (2 x width) product per block
+        s[...] = np.matmul(_H, s)
+    else:  # gather the halves into two rows for one product, scatter back
+        prod = np.dot(_H, s.transpose(1, 0, 2).reshape(2, -1))
+        s[...] = prod.reshape(2, blocks, width).transpose(1, 0, 2)
+
+
+def _cz(amps: np.ndarray, a: int, b: int) -> None:
+    lo, hi = sorted((a, b))
+    amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)[:, 1, :, 1, :] *= -1
 
 
 def apply(state: StateVector, g: Gate) -> StateVector:
     for t in g.targets:
         if not 0 <= t < state.n:
             raise ValueError(f"gate target {t} out of range")
-    if g.kind == "CZ":
-        a, b = g.targets
-        v = state.amps.reshape([2] * state.n)
-        idx = [slice(None)] * state.n
-        idx[a] = 1
-        idx[b] = 1
-        v[tuple(idx)] *= -1
-    elif g.kind == "RZ":
-        v = state.amps.reshape([2] * state.n)
-        (t,) = g.targets
-        idx0 = [slice(None)] * state.n
-        idx0[t] = 0
-        idx1 = [slice(None)] * state.n
-        idx1[t] = 1
-        v[tuple(idx0)] *= np.exp(-1j * g.xi / 2)
-        v[tuple(idx1)] *= np.exp(1j * g.xi / 2)
-    else:
-        u = {"H": _H, "X": _X, "Y": _Y, "Z": _Z, "S": _S, "SDG": _SDG}[g.kind]
-        _apply_single(state, u, g.targets[0])
+    kind, q = g.kind, g.targets[0]
+    if kind == "CZ":
+        _cz(state.amps, q, g.targets[1])
+    elif kind == "H":
+        _hadamard(state.amps, q)
+    elif kind in _HALF_PHASE:
+        _halves(state.amps, q)[:, 1, :] *= _HALF_PHASE[kind]
+    elif kind == "RZ":
+        v = _halves(state.amps, q)
+        v[:, 0, :] *= np.exp(-1j * g.xi / 2)
+        v[:, 1, :] *= np.exp(1j * g.xi / 2)
+    elif kind == "X":
+        state.amps = _halves(state.amps, q)[:, ::-1, :].reshape(-1)
+    else:  # Y
+        state.amps = (_halves(state.amps, q)[:, ::-1, :] * _Y_PHASES).reshape(-1)
     return state
 
 
@@ -146,12 +183,21 @@ def measure(state: StateVector, qubit: int, basis: str, rng=None,
     deterministic and the record stores the true pre-measurement probability
     of that outcome; forcing an outcome of probability below 1e-12 raises.
     """
+    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < state.n):
+        raise ValueError(f"qubit {qubit} is not in 0..{state.n - 1}")
+    if basis not in ("Z", "X", "XY"):
+        raise ValueError(f"basis {basis!r} is not one of Z, X, XY")
     if basis == "XY" and xi is None:
         raise ValueError("XY basis needs an angle")
+    if forced not in (None, 0, 1):
+        raise ValueError(f"forced outcome {forced!r} is not one of None, 0, 1")
     k0, k1 = _basis_kets(basis, xi)
-    v = state.amps.reshape([2] * state.n)
-    a0 = np.tensordot(k0.conj(), v, axes=(0, qubit))
-    a1 = np.tensordot(k1.conj(), v, axes=(0, qubit))
+    v = _halves(state.amps, qubit)
+    # The bras contract qubit's two rows, gathered as tensordot gathers them,
+    # in the same BLAS call: the (1 x 2) bra times the (2 x N/2) rows.
+    rows = v.transpose(1, 0, 2).reshape(2, -1)
+    a0 = np.dot(k0.conj().reshape(1, 2), rows)
+    a1 = np.dot(k1.conj().reshape(1, 2), rows)
     p0 = float(np.vdot(a0, a0).real)
     p1 = float(np.vdot(a1, a1).real)
 
@@ -168,9 +214,10 @@ def measure(state: StateVector, qubit: int, basis: str, rng=None,
 
     ket = k0 if outcome == 0 else k1
     part = a0 if outcome == 0 else a1
-    collapsed = np.tensordot(ket, part, axes=0)  # ket axis first
-    collapsed = np.moveaxis(collapsed, 0, qubit)
-    state.amps = (collapsed / math.sqrt(prob)).reshape(-1)
+    # ket (x) part as tensordot forms it, a (2 x 1) @ (1 x N/2) BLAS product;
+    # its two rows go back onto qubit's axis
+    collapsed = np.dot(ket.reshape(2, 1), part).reshape(2, len(v), -1)
+    np.divide(collapsed.transpose(1, 0, 2), math.sqrt(prob), out=v)
     return MeasurementRecord(qubit, basis, outcome, prob, xi), state
 
 

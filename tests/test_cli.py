@@ -235,8 +235,11 @@ def _assert_report(argv: str, want: dict, capsys) -> None:
 LATTICE_REPORTS = _pinned("lattice_reports.json")
 
 # Reports of the dense-simulator and small tableau/graph commands, keyed by
-# argv.  They were recorded while circuits still carried measurement and
-# feed-forward instructions and apply_pauli still applied X before Z.
+# argv.  The first twelve were recorded while circuits still carried
+# measurement and feed-forward instructions and apply_pauli still applied X
+# before Z; the 60-angle compute, sweep --seed 9 and the two teleports with
+# complex amplitudes were recorded while the dense kernels still ran
+# numpy.tensordot.
 DENSE_REPORTS = _pinned("dense_reports.json")
 
 

@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state_vector
 from qecc1wqc import code5, svsim
-from qecc1wqc.circuit import CZ, Circuit, Gate, H, RZ
+from qecc1wqc.circuit import CZ, GATE_KINDS, Circuit, Gate, H, RZ
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import Tableau
@@ -227,3 +229,114 @@ def test_apply_pauli_matches_pauli_matrix(rng):
                 s = svsim.from_amplitudes(random_state_vector(rng, n))
                 want = p.matrix() @ s.amps
                 assert np.allclose(svsim.apply_pauli(s, p).amps, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: svsim.measure(s, -1, "Z"),
+    lambda s: svsim.measure(s, 3, "Z"),
+    lambda s: svsim.measure(s, 0, "Q", xi=0.3),
+    lambda s: svsim.measure(s, 0, "Y"),
+    lambda s: svsim.measure(s, 0, "Z", forced=-1),
+    lambda s: svsim.measure(s, 0, "Z", forced=2),
+], ids=["qubit-1", "qubit-n", "basis-Q", "basis-Y", "forced-1", "forced2"])
+def test_measure_rejects_bad_input(call, rng):
+    s = svsim.from_amplitudes(random_state_vector(rng, 3))
+    before = s.amps.tobytes()
+    with pytest.raises(ValueError):
+        call(s)
+    assert s.amps.tobytes() == before
+
+
+def test_init_rejects_unknown_symbol():
+    with pytest.raises(ValueError, match="0, 1, \\+, -"):
+        svsim.init(2, "0x")
+
+
+# The tensordot/moveaxis formulas the reshaped-view kernels replaced.  The
+# kernels must reproduce their bits exactly, not merely to rounding: pinned
+# reports compare fidelities with ==.  The random states have no exact zeros,
+# whose sign alone the two formulations may set differently.
+_REF_U = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+}
+_REF_U["SDG"] = _REF_U["S"].conj()
+
+
+def _ref_apply(amps: np.ndarray, n: int, g: Gate) -> np.ndarray:
+    v = amps.copy().reshape([2] * n)
+    if g.kind == "CZ":
+        idx = [slice(None)] * n
+        for t in g.targets:
+            idx[t] = 1
+        v[tuple(idx)] *= -1
+        return v.reshape(-1)
+    (q,) = g.targets
+    if g.kind == "RZ":
+        idx0 = [slice(None)] * n
+        idx0[q] = 0
+        idx1 = [slice(None)] * n
+        idx1[q] = 1
+        v[tuple(idx0)] *= np.exp(-1j * g.xi / 2)
+        v[tuple(idx1)] *= np.exp(1j * g.xi / 2)
+        return v.reshape(-1)
+    v = np.tensordot(_REF_U[g.kind], v, axes=(1, q))
+    return np.moveaxis(v, 0, q).reshape(-1)
+
+
+def _ref_measure(amps, n, q, basis, xi, outcome):
+    """(collapsed amplitudes, probability of ``outcome``)."""
+    if basis == "Z":
+        kets = np.eye(2, dtype=complex)
+    else:
+        theta = 0.0 if basis == "X" else float(xi)
+        kets = (np.array([1, np.exp(1j * theta)], dtype=complex) / math.sqrt(2),
+                np.array([1, -np.exp(1j * theta)], dtype=complex) / math.sqrt(2))
+    v = amps.reshape([2] * n)
+    part = np.tensordot(kets[outcome].conj(), v, axes=(0, q))
+    prob = float(np.vdot(part, part).real)
+    collapsed = np.moveaxis(np.tensordot(kets[outcome], part, axes=0), 0, q)
+    return (collapsed / math.sqrt(prob)).reshape(-1), prob
+
+
+def _assert_gate_bitwise(amps, n, g):
+    got = svsim.apply(StateVector(n, amps.copy()), g).amps
+    assert got.tobytes() == _ref_apply(amps, n, g).tobytes(), g
+
+
+def _assert_measure_bitwise(amps, n, q, basis, xi, outcome):
+    s = StateVector(n, amps.copy())
+    rec, _ = svsim.measure(s, q, basis, forced=outcome, xi=xi)
+    want, prob = _ref_measure(amps, n, q, basis, xi, outcome)
+    assert rec.probability == prob, (q, basis, outcome)
+    assert s.amps.tobytes() == want.tobytes(), (q, basis, outcome)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       xi=st.floats(-10, 10, allow_nan=False))
+def test_kernels_match_tensordot_reference_bitwise(n, seed, xi):
+    amps = random_state_vector(np.random.default_rng(seed), n)
+    for q in range(n):
+        for kind in GATE_KINDS:
+            if kind != "CZ":
+                _assert_gate_bitwise(amps, n, Gate(kind, (q,), xi if kind == "RZ" else None))
+        for b in range(n):
+            if b != q:
+                _assert_gate_bitwise(amps, n, CZ(q, b))
+        for basis in ("Z", "X", "XY"):
+            for outcome in (0, 1):
+                _assert_measure_bitwise(amps, n, q, basis, xi, outcome)
+
+
+def test_kernels_match_tensordot_reference_bitwise_at_20_qubits():
+    """Here H runs slab by slab, in every form: column slabs of one block
+    (q = 0, 3), slabs of whole blocks (10), gathers (15, 17, 18), pairs (19)."""
+    n = 20
+    amps = random_state_vector(np.random.default_rng(20), n)
+    for q in (0, 3, 10, 15, 17, 18, 19):
+        _assert_gate_bitwise(amps, n, H(q))
+        _assert_measure_bitwise(amps, n, q, "XY", 0.61, q % 2)
