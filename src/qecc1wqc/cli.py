@@ -8,6 +8,7 @@ writes the report to a file, ``--quiet`` suppresses stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,14 +23,27 @@ from .lattice.layouts import NAMED_SCHEDULES
 from .pauli import PauliString
 
 
-def _emit(args, payload: dict, ok: bool) -> int:
+def _fields(report) -> dict:
+    """A report dataclass as a dict of its fields, for ``json.dumps`` to walk.
+
+    Shallow: ``dataclasses.asdict`` deep-copies every value first, which
+    costs time on long per-trial lists and raises peak memory.
+    """
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _emit(args, payload: dict, ok: bool, stdout: str | None = None) -> int:
+    """Write the report: to ``--json`` as JSON, to stdout as JSON or ``stdout``.
+
+    Report dataclasses in ``payload`` serialize field by field.
+    """
     payload = {"schema": SCHEMA, "ok": bool(ok), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_fields)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
     if not args.quiet:
-        print(text)
+        print(text if stdout is None else stdout)
     return 0 if ok else 1
 
 
@@ -71,19 +85,12 @@ def _parse_injection(text: str) -> PauliString:
 def cmd_syndrome_table(args) -> int:
     simulated = code5.simulated_syndrome_table(seed=args.seed)
     ok = simulated == code5.syndrome_table_rows()
-    if not args.quiet:
-        print("Error\tSyndrome\tOutcome")
-        for err, syn, out in simulated:
-            shown = {"I": "|psi>", "X": "X|psi>", "XZ": "XZ|psi>", "Z": "Z|psi>"}[out]
-            print(f"{err}\t{syn}\t{shown}")
-        if not ok:
-            print("MISMATCH with built-in table", file=sys.stderr)
-    if args.json:
-        payload = {"schema": SCHEMA, "ok": ok,
-                   "rows": [list(r) for r in simulated]}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-    return 0 if ok else 1
+    shown = {"I": "|psi>", "X": "X|psi>", "XZ": "XZ|psi>", "Z": "Z|psi>"}
+    table = "\n".join(["Error\tSyndrome\tOutcome"]
+                      + [f"{err}\t{syn}\t{shown[out]}" for err, syn, out in simulated])
+    if not ok and not args.quiet:
+        print("MISMATCH with built-in table", file=sys.stderr)
+    return _emit(args, {"rows": simulated}, ok, stdout=table)
 
 
 def cmd_teleport(args) -> int:
@@ -93,26 +100,26 @@ def cmd_teleport(args) -> int:
         args.alpha_beta, args.xi, injected_error=err,
         forced_m=args.force_m, rng=rng)
     ok = rep.fidelity >= 1 - 1e-9 if err is None or err.weight <= 1 else True
-    return _emit(args, {"report": rep.to_json_obj()}, ok)
+    return _emit(args, {"report": rep}, ok)
 
 
 def cmd_sweep(args) -> int:
     rep = harness.run_exhaustive_correction_sweep(seed=args.seed, xi=args.xi)
     ok = rep.details["all_corrected"]
-    return _emit(args, {"report": rep.to_json_obj()}, ok)
+    return _emit(args, {"report": rep}, ok)
 
 
 def cmd_depolarize(args) -> int:
     rep = harness.run_depolarizing(args.p, args.trials, seed=args.seed)
     ok = rep.details["within_5_sigma"] and rep.details["weight_le1_failures"] == 0
-    return _emit(args, {"report": rep.to_json_obj()}, ok)
+    return _emit(args, {"report": rep}, ok)
 
 
 def cmd_compute(args) -> int:
     xis = [float(x) for x in args.xi]
     rep = harness.run_two_column_computation(xis, seed=args.seed)
     ok = rep.details["final_fidelity"] >= 1 - 1e-9
-    return _emit(args, {"report": rep.to_json_obj()}, ok)
+    return _emit(args, {"report": rep}, ok)
 
 
 def cmd_lcs2(args) -> int:
@@ -133,7 +140,7 @@ def cmd_lcs2(args) -> int:
 
 def cmd_push_through(args) -> int:
     rep = protocols.push_through_check(seed=args.seed)
-    return _emit(args, {"report": rep.to_json_obj()}, rep.passed)
+    return _emit(args, {"report": rep}, rep.passed)
 
 
 def cmd_horseshoe(args) -> int:
@@ -163,7 +170,7 @@ def cmd_entangler(args) -> int:
 def cmd_lattice(args) -> int:
     if args.schedule == "hop":
         rep = run_hop(mode=args.hop_mode, seed=args.seed)
-        payload = {"hop": rep.to_json_obj()}
+        payload = {"hop": rep}
         ok = rep.verified and rep.regions_disjoint
         if args.hop_mode == "simultaneous":
             ok = ok and rep.hop_global_cz == 7
@@ -171,12 +178,12 @@ def cmd_lattice(args) -> int:
 
     sched = load_schedule(args.schedule)
     lat = run_schedule(sched, seed=args.seed)
-    payload = {"name": sched["name"], "counts": lat.counts.to_json_obj()}
+    payload = {"name": sched["name"], "counts": lat.counts}
     ok = True
     if args.verify:
         target, order = target_tableau(sched["name"])
         res = verify_lattice_against(lat, target, order, sched["name"])
-        payload["verify"] = res.to_json_obj()
+        payload["verify"] = res
         ok = res.ok
     return _emit(args, payload, ok)
 

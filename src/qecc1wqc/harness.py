@@ -36,11 +36,7 @@ class TrialResult:
     injected: str
     syndrome: str
     m: int
-    fidelity: float
-
-    def to_json_obj(self) -> dict:
-        return {"injected": self.injected, "syndrome": self.syndrome,
-                "m": self.m, "fidelity": round(self.fidelity, 12)}
+    fidelity: float  # rounded to 12 digits
 
 
 @dataclass
@@ -49,23 +45,11 @@ class RunReport:
     seed: int
     trials: int
     success_count: int
-    mean_fidelity: float
+    mean_fidelity: float  # rounded to 12 digits
     op_counts: dict
     details: dict = field(default_factory=dict)
     per_trial: list[TrialResult] = field(default_factory=list)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": self.kind,
-            "seed": self.seed,
-            "trials": self.trials,
-            "success_count": self.success_count,
-            "mean_fidelity": round(self.mean_fidelity, 12),
-            "op_counts": self.op_counts,
-            "details": self.details,
-            "per_trial": [t.to_json_obj() for t in self.per_trial],
-        }
+    schema: str = SCHEMA
 
 
 def _random_qubit(rng) -> tuple[complex, complex]:
@@ -88,6 +72,7 @@ def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7,
     rng = np.random.default_rng(seed)
     psi = _random_qubit(rng)
     trials = []
+    fids = []
     successes = 0
     for label in ("I",) + WEIGHT1_LABELS:
         err = None if label == "I" else code5.error_operator(label)
@@ -100,11 +85,12 @@ def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7,
                 f"{label}: syndrome {rep.syndrome}, table says {expected_syn}")
         ok = rep.fidelity >= SUCCESS_FIDELITY
         successes += ok
+        fids.append(rep.fidelity)
         trials.append(TrialResult("None" if label == "I" else label,
-                                  rep.syndrome, rep.m, rep.fidelity))
-    mean = float(np.mean([t.fidelity for t in trials]))
+                                  rep.syndrome, rep.m, round(rep.fidelity, 12)))
+    mean = float(np.mean(fids))
     return RunReport("exhaustive-single-pauli", seed, len(trials), successes,
-                     mean, _op_counts(),
+                     round(mean, 12), _op_counts(),
                      details={"xi": xi, "all_corrected": successes == len(trials)},
                      per_trial=trials if keep_trials else [])
 
@@ -334,7 +320,7 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
         "weight2_failure_fraction": oracle["weights"]["2"]["failure_fraction"],
     }
     return RunReport("iid-depolarizing", seed, trials, successes,
-                     fid_sum / trials, _op_counts(), details=details)
+                     round(fid_sum / trials, 12), _op_counts(), details=details)
 
 
 # -- multi-hop two-column computation ------------------------------------------
@@ -380,7 +366,7 @@ def run_two_column_computation(xis, seed: int = 0,
     target = code5.encode_amplitudes(target_amp[0], target_amp[1])
     fid = svsim.fidelity(corrected, target)
     for t in trials:
-        t.fidelity = fid
+        t.fidelity = round(fid, 12)
     details = {
         "hops": len(xis),
         "xis": [float(x) for x in xis],
@@ -389,5 +375,5 @@ def run_two_column_computation(xis, seed: int = 0,
         "ms": [t.m for t in trials],
     }
     return RunReport("two-column-computation", seed, len(xis),
-                     sum(1 for t in trials if t.fidelity >= SUCCESS_FIDELITY),
-                     fid, _op_counts(), details=details, per_trial=trials)
+                     len(trials) if fid >= SUCCESS_FIDELITY else 0,
+                     round(fid, 12), _op_counts(), details=details, per_trial=trials)

@@ -20,9 +20,11 @@ have been created exactly once, and a measured interior cell may carry no
 other edge, so a schedule whose layers link the wrong cells fails as it
 runs instead of leaving a wrong state behind.
 
-The byproduct frame maps ideal = frame * actual.  Every applied gate
-conjugates the frame; measurements never change it but their raw outcomes
-are reinterpreted (X flips with the Z bit, Z with the X bit, Y with both).
+The byproduct frame is one Pauli string over the tableau qubits and maps
+ideal = frame * actual, up to a global phase that nothing reads.  Every
+applied gate conjugates the frame (``pauli.conjugate_pauli``); measurements
+never change it but their raw outcomes are reinterpreted (X flips with the
+Z bit, Z with the X bit, Y with both).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit import CZ, Gate
+from ..pauli import PauliString, conjugate_pauli
 from ..tableau import EntangledError, Tableau
 
 # Most cells one lattice may give a qubit (the largest named schedule uses
@@ -39,6 +42,7 @@ from ..tableau import EntangledError, Tableau
 MAX_CELLS = 4096
 
 _SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
+_LOCAL_GATES = ("H", "S", "SDG", "X", "Y", "Z")
 
 
 @dataclass
@@ -47,14 +51,6 @@ class OpCountReport:
     measured_ancillae: int = 0
     local_layers: int = 0
     distant_cz_ops: int = 0
-
-    def to_json_obj(self) -> dict:
-        return {
-            "global_cz_steps": self.global_cz_steps,
-            "measured_ancillae": self.measured_ancillae,
-            "local_layers": self.local_layers,
-            "distant_cz_ops": self.distant_cz_ops,
-        }
 
 
 @dataclass
@@ -88,6 +84,13 @@ def _edge(a: tuple[int, int], b: tuple[int, int]) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _alternating_parities(outcomes: list[int]) -> tuple[int, int]:
+    """Z byproducts (near end, far end) of X-measured chain cells: the near
+    end takes the outcomes at even positions 2, 4, ... counted from it, the
+    far end those at odd positions 1, 3, ...."""
+    return sum(outcomes[1::2]) & 1, sum(outcomes[0::2]) & 1
+
+
 class Lattice:
     """Grid of cells backed by one stabilizer tableau."""
 
@@ -103,12 +106,10 @@ class Lattice:
             self._check_cell(rc)
         self.active: set[tuple[int, int]] = set()
         self.ever_measured: set[tuple[int, int]] = set()
-        self.frame_x: dict[tuple[int, int], int] = {}
-        self.frame_z: dict[tuple[int, int], int] = {}
+        self.frame = PauliString(0)   # byproducts on the tableau qubits
         # created edges not yet consumed by a chain -> times created
         self.pending: dict[tuple, int] = {}
         self.counts = OpCountReport()
-        self.slots: dict[str, int] = {}
         self._rng = np.random.default_rng()
 
     def seed(self, seed_value) -> "Lattice":
@@ -141,6 +142,8 @@ class Lattice:
         for rc, q in zip(new, self.tab.add_qubits(len(new))):
             self._qubits[rc] = q
             self.cells.append(rc)
+        f = self.frame
+        self.frame = PauliString(self.n, f.x, f.z, f.phase)
 
     def qubit(self, rc: tuple[int, int]) -> int:
         """Tableau qubit of a cell; a cell without one gets a fresh |0>."""
@@ -150,11 +153,20 @@ class Lattice:
             self._allocate([rc])
         return self._qubits[rc]
 
-    def fx(self, rc) -> int:
-        return self.frame_x.get(tuple(rc), 0)
+    def _apply(self, gate: Gate) -> None:
+        """Apply a gate to the state and conjugate the frame by it."""
+        self.tab.apply(gate)
+        self.frame = conjugate_pauli(self.frame, gate)
 
-    def fz(self, rc) -> int:
-        return self.frame_z.get(tuple(rc), 0)
+    def _flip_frame(self, q: int, x: int = 0, z: int = 0) -> None:
+        if x or z:
+            f = self.frame
+            self.frame = PauliString(f.n, f.x ^ (x << q), f.z ^ (z << q), f.phase)
+
+    def _clear_frame(self, q: int) -> None:
+        f = self.frame
+        if ((f.x | f.z) >> q) & 1:  # most clears find no bit; keep the frame
+            self._flip_frame(q, f.x_bit(q), f.z_bit(q))
 
     # -- steps ------------------------------------------------------------------
 
@@ -178,21 +190,7 @@ class Lattice:
             for kind in gates:
                 self.tab.apply(Gate(kind, (q,)))
             self.active.add(rc)
-            self.frame_x.pop(rc, None)
-            self.frame_z.pop(rc, None)
-
-    def _conjugate_frame_gate(self, rc: tuple[int, int], kind: str) -> None:
-        x, z = self.fx(rc), self.fz(rc)
-        if kind == "H":
-            x, z = z, x
-        elif kind in ("S", "SDG"):
-            z ^= x
-        elif kind in ("X", "Y", "Z"):
-            pass
-        else:
-            raise LatticeError(f"unsupported local gate {kind!r}")
-        self.frame_x[rc] = x
-        self.frame_z[rc] = z
+            self._clear_frame(q)
 
     def local_ops(self, ops: list[tuple[tuple[int, int], list[str]]]) -> None:
         for rc, kinds in ops:
@@ -200,18 +198,15 @@ class Lattice:
             if rc not in self.active:
                 raise LatticeError(f"local op on inactive cell {rc}")
             for kind in kinds:
-                self._conjugate_frame_gate(rc, kind)
-                self.tab.apply(Gate(kind, (self.qubit(rc),)))
+                if kind not in _LOCAL_GATES:
+                    raise LatticeError(f"unsupported local gate {kind!r}")
+                self._apply(Gate(kind, (self.qubit(rc),)))
         self.counts.local_layers += 1
 
     def _apply_cz(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        self.tab.apply(CZ(self.qubit(a), self.qubit(b)))
+        self._apply(CZ(self.qubit(a), self.qubit(b)))
         e = _edge(a, b)
         self.pending[e] = self.pending.get(e, 0) + 1
-        za = self.fz(a) ^ self.fx(b)
-        zb = self.fz(b) ^ self.fx(a)
-        self.frame_z[a] = za
-        self.frame_z[b] = zb
 
     def adjacent_active_pairs(self, axis: str):
         dr, dc = (1, 0) if axis.startswith("v") else (0, 1)
@@ -239,11 +234,11 @@ class Lattice:
         q = self.qubit(rc)
         raw, _ = self.tab.measure(q, basis, rng=self._rng, forced=forced)
         if basis == "X":
-            flip = self.fz(rc)
+            flip = self.frame.z_bit(q)
         elif basis == "Z":
-            flip = self.fx(rc)
+            flip = self.frame.x_bit(q)
         else:
-            flip = self.fz(rc) ^ self.fx(rc)
+            flip = self.frame.z_bit(q) ^ self.frame.x_bit(q)
         return raw ^ flip
 
     def measure_chain(self, chain: Chain, forced: list[int] | None = None) -> list[int]:
@@ -278,49 +273,27 @@ class Lattice:
         def f(i):
             return None if forced is None else forced[i]
 
-        outcomes: list[int] = []
-        if k % 2 == 0:
-            for i, rc in enumerate(interior):
-                m = self._measure_frame_corrected(rc, "X", f(i))
-                outcomes.append(m)
-            zu = 0
-            zv = 0
-            for i, m in enumerate(outcomes):  # position i+1 from u
-                if (i + 1) % 2 == 0:
-                    zu ^= m
-                else:
-                    zv ^= m
-            self.frame_z[u] = self.fz(u) ^ zu
-            self.frame_z[v] = self.fz(v) ^ zv
-        else:
-            head = interior[0]
-            tail = interior[1:]
-            tail_out: list[int] = []
-            for j, rc in enumerate(tail):
-                m = self._measure_frame_corrected(rc, "X", f(j + 1))
-                tail_out.append(m)
-            zh = 0
-            zv = 0
-            for j, m in enumerate(tail_out):  # position j+1 from the head cell
-                if (j + 1) % 2 == 0:
-                    zh ^= m
-                else:
-                    zv ^= m
-            self.frame_z[head] = self.fz(head) ^ zh
-            self.frame_z[v] = self.fz(v) ^ zv
-            mu = self._measure_frame_corrected(head, "Y", f(0))
+        # An odd interior first contracts to its head cell, which the Y
+        # measurement below consumes; the X-measured run then starts at
+        # interior[1] and its near end is the head instead of u.
+        odd = k % 2
+        near = interior[0] if odd else u
+        outcomes = [self._measure_frame_corrected(rc, "X", f(i))
+                    for i, rc in enumerate(interior[odd:], start=odd)]
+        zn, zv = _alternating_parities(outcomes)
+        self._flip_frame(self.qubit(near), z=zn)
+        self._flip_frame(self.qubit(v), z=zv)
+        if odd:
+            mu = self._measure_frame_corrected(near, "Y", f(0))
             for rc in (u, v):
-                self.tab.apply(Gate("SDG", (self.qubit(rc),)))
-                self._conjugate_frame_gate(rc, "SDG")
-            self.frame_z[u] = self.fz(u) ^ mu
-            self.frame_z[v] = self.fz(v) ^ mu
-            outcomes = [mu] + tail_out
+                self._apply(Gate("SDG", (self.qubit(rc),)))
+                self._flip_frame(self.qubit(rc), z=mu)
+            outcomes = [mu] + outcomes
 
         for rc in interior:
             self.active.discard(rc)
             self.ever_measured.add(rc)
-            self.frame_x.pop(rc, None)
-            self.frame_z.pop(rc, None)
+            self._clear_frame(self.qubit(rc))
         self.counts.measured_ancillae += k
         return outcomes
 
@@ -341,18 +314,11 @@ class Lattice:
         self.counts.distant_cz_ops += 1
         return self.measure_chain(chain, forced=forced)
 
-    def measure_data(self, rc, basis: str, slot: str,
-                     forced: int | None = None) -> int:
-        m = self._measure_frame_corrected(tuple(rc), basis, forced)
-        self.slots[slot] = m
-        return m
+    def measure_data(self, rc, basis: str, forced: int | None = None) -> int:
+        return self._measure_frame_corrected(tuple(rc), basis, forced)
 
     def add_frame_pauli(self, rc, x: int = 0, z: int = 0) -> None:
-        rc = tuple(rc)
-        if x:
-            self.frame_x[rc] = self.fx(rc) ^ 1
-        if z:
-            self.frame_z[rc] = self.fz(rc) ^ 1
+        self._flip_frame(self.qubit(rc), bool(x), bool(z))
 
     # -- extraction ------------------------------------------------------------------
 
@@ -362,8 +328,9 @@ class Lattice:
         The result shares the live tableau's X/Z blocks, read-only, so it
         describes the lattice only until the next step changes it.
         """
-        fx = [self.qubit(rc) for rc, bit in self.frame_x.items() if bit]
-        fz = [self.qubit(rc) for rc, bit in self.frame_z.items() if bit]
+        f = self.frame
+        fx = [q for q in range(f.n) if f.x_bit(q)]
+        fz = [q for q in range(f.n) if f.z_bit(q)]
         return self.tab.with_paulis(fx, fz)
 
     def data_subtableau(self, label_order: list[str]) -> Tableau:

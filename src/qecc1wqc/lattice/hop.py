@@ -37,19 +37,6 @@ class HopReport:
     regions_disjoint: bool
     diagnostic: str | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "prep_global_cz": self.prep_global_cz,
-            "hop_global_cz": self.hop_global_cz,
-            "syndrome": self.syndrome,
-            "correction": self.correction,
-            "m": self.m,
-            "verified": self.verified,
-            "regions_disjoint": self.regions_disjoint,
-            "diagnostic": self.diagnostic,
-        }
-
 
 def _steps_cells(steps) -> set[tuple[int, int]]:
     cells = set()
@@ -139,11 +126,11 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     hop_ops = lat.counts.global_cz_steps - prep_ops
 
     # syndrome on A's qubits 2..5, then the teleporting X measurement
-    bits = tuple(lat.measure_data(a_cells[k], "Z", f"syn{k}") for k in "2345")
+    bits = tuple(lat.measure_data(a_cells[k], "Z") for k in "2345")
     syndrome = code5.Syndrome(bits)
     corr = code5.correction_for(syndrome)
     lat.add_frame_pauli(a_cells["1"], x=corr.x & 1, z=corr.z & 1)
-    m = lat.measure_data(a_cells["1"], "X", "m")
+    m = lat.measure_data(a_cells["1"], "X")
     if m:
         for k in b_cells:
             lat.add_frame_pauli(b_cells[k], x=1)

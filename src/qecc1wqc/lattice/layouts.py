@@ -292,16 +292,10 @@ def schedule_E1() -> dict:
 
 def schedule_E2() -> dict:
     w = wheel_cells(0)
-    chains = e2_chains(0)
-    steps = [
-        {"prepare": _prep(w.values(), "+") + _prep(_interiors(chains), "+")},
-        {"global_cz": "vertical"},
-        {"global_cz": "horizontal"},
-        {"chains": [_chain_obj(c) for c in chains]},
-    ]
     return {"name": "E2_lattice", "grid": [GRID_ROWS, 17],
             "data_cells": {k: list(v) for k, v in w.items()},
-            "steps": steps, "expected_global_cz": 2}
+            "steps": e2_stage_steps([0], extra_prep=_prep(w.values(), "+")),
+            "expected_global_cz": 2}
 
 
 def schedule_GHZ6() -> dict:

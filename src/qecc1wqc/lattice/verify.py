@@ -49,15 +49,6 @@ class VerifyResult:
     measured_ancillae: int
     diagnostic: str | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "global_cz_steps": self.global_cz_steps,
-            "measured_ancillae": self.measured_ancillae,
-            "diagnostic": self.diagnostic,
-        }
-
 
 def verify_lattice_against(lat: Lattice, target: Tableau,
                            label_order: list[str], name: str) -> VerifyResult:

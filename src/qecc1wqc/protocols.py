@@ -170,19 +170,6 @@ class TeleportReport:
     xi: float
     measurement_probability: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "syndrome": self.syndrome,
-            "correction": self.correction,
-            "injected_error": self.injected_error,
-            "error_stage": self.error_stage,
-            "fidelity": self.fidelity,
-            "two_qubit_gates": self.two_qubit_gates,
-            "xi": self.xi,
-            "measurement_probability": self.measurement_probability,
-        }
-
 
 def encoded_teleport(psi: tuple[complex, complex], xi: float,
                      injected_error: PauliString | None = None,
@@ -261,13 +248,6 @@ class PushThroughReport:
     fidelities: list[float]
     negative_control_fidelities: list[float]
     passed: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "fidelities": self.fidelities,
-            "negative_control_fidelities": self.negative_control_fidelities,
-            "passed": self.passed,
-        }
 
 
 def _random_register_state(rng) -> np.ndarray:
@@ -432,21 +412,6 @@ class GhzVerifyReport:
     rounds: list[GhzVerifyRound]
     flagged: bool
     ancilla_failures: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rounds": [
-                {
-                    "generator": r.generator,
-                    "syndrome_bit": r.syndrome_bit,
-                    "ancilla_checks": r.ancilla_checks,
-                    "ancilla_ok": r.ancilla_ok,
-                }
-                for r in self.rounds
-            ],
-            "flagged": self.flagged,
-            "ancilla_failures": self.ancilla_failures,
-        }
 
 
 def _controlled_pauli(state: StateVector, control: int, target: int, letter: str) -> None:

@@ -39,6 +39,9 @@ class StateVector:
         self.n = n
         # the kernels update reshaped views of amps in place
         self.amps = np.ascontiguousarray(amps, dtype=complex)
+        if self.amps.shape != (1 << n,):
+            raise ValueError(
+                f"{n} qubits need {1 << n} amplitudes, got shape {self.amps.shape}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -189,6 +192,8 @@ def measure(state: StateVector, qubit: int, basis: str, rng=None,
         raise ValueError(f"basis {basis!r} is not one of Z, X, XY")
     if basis == "XY" and xi is None:
         raise ValueError("XY basis needs an angle")
+    if basis == "XY" and not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi!r}")
     if forced not in (None, 0, 1):
         raise ValueError(f"forced outcome {forced!r} is not one of None, 0, 1")
     k0, k1 = _basis_kets(basis, xi)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -251,3 +252,31 @@ def test_lattice_reports_pinned(argv, capsys):
 @pytest.mark.parametrize("argv", sorted(DENSE_REPORTS))
 def test_dense_reports_pinned(argv, capsys):
     _assert_report(argv, DENSE_REPORTS[argv], capsys)
+
+
+# sha256 of the bytes each --json file holds.  The error report and the
+# syndrome table were recorded while syndrome-table still wrote its file with
+# its own json.dump; the table's file has since gained the trailing newline
+# every other --json file ends with.
+JSON_FILE_SHA256 = {
+    "syndrome-table --seed 3":
+        "64aa97349014deb059e807fa4a53f5b1ad75bda0867c0cd13ce20af1c59e3249",
+    "depolarize --p 2":
+        "ff9c35eeafea0b6d5e937c7a8c2c744390bde780c3f40e600e98106a97a77ad5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_FILE_SHA256))
+def test_json_file_bytes_pinned(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    main(["--json", str(out), *argv.split()])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == JSON_FILE_SHA256[argv]
+
+
+def test_syndrome_table_stdout_is_the_table(tmp_path, capsys):
+    assert main(["--json", str(tmp_path / "t.json"), "syndrome-table"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "Error\tSyndrome\tOutcome"
+    assert len(rows) == 16
+    assert all(len(row.split("\t")) == 3 for row in rows)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -54,8 +55,8 @@ def test_depolarizing_p_one_matches_weight5(oracle):
 
 
 def test_report_determinism(oracle):
-    a = harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle).to_json_obj()
-    b = harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle).to_json_obj()
+    a = dataclasses.asdict(harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle))
+    b = dataclasses.asdict(harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["schema"] == "1"
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -369,6 +370,23 @@ def test_schedule_random_outcomes_several_seeds():
     for seed in (0, 1, 2):
         res = verify_schedule("LP_full", seed=seed)
         assert res.ok, res.diagnostic
+
+
+# sha256 of json.dumps(build_schedule(name), sort_keys=True): the schedules
+# the generators emit, step for step, and not only the outcome of running them.
+SCHEDULE_SHA256 = {
+    "E1_lattice": "da2a29b4de053958cc32031783f84c3c2b56a8c4588587596af1b57aa8e0fc49",
+    "E2_lattice": "f465aa0feeb72d0879cb8ba1eacbaca9d3b49639cfb630a61abe391bc009af67",
+    "GHZ6_lattice": "a41c9e40744fd838fd6e900c5a70be8c9a488b1c03e90778b176539fa71652a8",
+    "LP_full": "d0eb05c17a820f2a59c6475294b68bb19adba659c9e67a87c57f5a312541401a",
+    "horseshoe_lattice": "78ac2d4b5d80720f2c226d55a4935103b4c0784cc18ac39b5317eef71ac3e7ed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
+def test_named_schedule_bytes_pinned(name):
+    text = json.dumps(build_schedule(name), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[name]
 
 
 # -- hop -------------------------------------------------------------------------------

@@ -238,13 +238,21 @@ def test_apply_pauli_matches_pauli_matrix(rng):
     lambda s: svsim.measure(s, 0, "Y"),
     lambda s: svsim.measure(s, 0, "Z", forced=-1),
     lambda s: svsim.measure(s, 0, "Z", forced=2),
-], ids=["qubit-1", "qubit-n", "basis-Q", "basis-Y", "forced-1", "forced2"])
+    lambda s: svsim.measure(s, 0, "XY", xi=math.nan),
+    lambda s: svsim.measure(s, 0, "XY", xi=math.inf),
+], ids=["qubit-1", "qubit-n", "basis-Q", "basis-Y", "forced-1", "forced2",
+        "xi-nan", "xi-inf"])
 def test_measure_rejects_bad_input(call, rng):
     s = svsim.from_amplitudes(random_state_vector(rng, 3))
     before = s.amps.tobytes()
     with pytest.raises(ValueError):
         call(s)
     assert s.amps.tobytes() == before
+
+
+def test_state_vector_rejects_amplitude_count():
+    with pytest.raises(ValueError, match="2 qubits need 4 amplitudes"):
+        StateVector(2, np.ones(8) / math.sqrt(8))
 
 
 def test_init_rejects_unknown_symbol():
