@@ -85,9 +85,9 @@ def _parse_injection(text: str) -> PauliString:
 def cmd_syndrome_table(args) -> int:
     simulated = code5.simulated_syndrome_table(seed=args.seed)
     ok = simulated == code5.syndrome_table_rows()
-    shown = {"I": "|psi>", "X": "X|psi>", "XZ": "XZ|psi>", "Z": "Z|psi>"}
     table = "\n".join(["Error\tSyndrome\tOutcome"]
-                      + [f"{err}\t{syn}\t{shown[out]}" for err, syn, out in simulated])
+                      + [f"{err}\t{syn}\t{'' if out == 'I' else out}|psi>"
+                         for err, syn, out in simulated])
     if not ok and not args.quiet:
         print("MISMATCH with built-in table", file=sys.stderr)
     return _emit(args, {"rows": simulated}, ok, stdout=table)
@@ -145,7 +145,7 @@ def cmd_push_through(args) -> int:
 
 def cmd_horseshoe(args) -> int:
     circuit, built = protocols.build_horseshoe_logical(mode=args.mode)
-    graph = protocols.horseshoe_graph()
+    graph = protocols.linear_cluster_graph(4)
     degrees = graph.degrees()
     endpoint = sorted(set(degrees[0:5] + degrees[15:20]))
     interior = sorted(set(degrees[5:15]))

@@ -9,8 +9,6 @@ five-cycle of CZ gates.  The decoder is the exact adjoint; measuring qubits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import svsim
@@ -47,20 +45,6 @@ SYNDROME_TABLE: dict[str, tuple[str, str]] = {
     "X5Z5": ("1100", "XZ"),
     "Z1": ("1111", "Z"),
 }
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    bits: tuple[int, int, int, int]
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Syndrome":
-        if len(s) != 4 or any(c not in "01" for c in s):
-            raise ValueError(f"bad syndrome {s!r}")
-        return cls(tuple(int(c) for c in s))
 
 
 def _amps_logical_zero() -> np.ndarray:
@@ -207,9 +191,9 @@ def decode_and_syndrome(state: StateVector, rng=None,
                         forced: dict[int, int] | None = None):
     """Apply the decoder, read the syndrome, return the residual qubit.
 
-    Returns (Syndrome, 1-qubit StateVector).  Any 5-qubit state is accepted;
-    for states one Pauli away from the code space the syndrome bits are
-    deterministic.
+    Returns (syndrome string, 1-qubit StateVector).  Any 5-qubit state is
+    accepted; for states one Pauli away from the code space the syndrome
+    bits are deterministic.
     """
     if state.n != 5:
         raise ValueError("decoder expects a 5-qubit register")
@@ -219,8 +203,7 @@ def decode_and_syndrome(state: StateVector, rng=None,
         f = None if forced is None else forced.get(q)
         rec, _ = svsim.measure(state, q, "Z", rng=rng, forced=f)
         bits.append(rec.outcome)
-    residual = svsim.extract_pure(state, [0])
-    return Syndrome(tuple(bits)), residual
+    return syndrome_string(bits), svsim.extract_pure(state, [0])
 
 
 _CORRECTION_FOR_RESIDUAL = {
@@ -231,18 +214,24 @@ _CORRECTION_FOR_RESIDUAL = {
 }
 
 
-def correction_label_for(s: Syndrome) -> str:
-    """Outcome-column letter ('I', 'X', 'XZ' or 'Z') for a syndrome."""
-    key = str(s)
-    for _, (syn, residual) in SYNDROME_TABLE.items():
-        if syn == key:
-            return residual
-    raise AssertionError("syndrome table does not cover " + key)
+_RESIDUAL_FOR_SYNDROME = dict(SYNDROME_TABLE.values())
 
 
-def correction_for(s: Syndrome) -> PauliString:
+def syndrome_string(bits) -> str:
+    """Measured syndrome bits, in the table's (a, b, c, d) order, as '1010'."""
+    return "".join(str(b) for b in bits)
+
+
+def correction_label_for(syndrome: str) -> str:
+    """Outcome-column letter ('I', 'X', 'XZ' or 'Z') for a syndrome string."""
+    if syndrome not in _RESIDUAL_FOR_SYNDROME:
+        raise ValueError(f"bad syndrome {syndrome!r}")
+    return _RESIDUAL_FOR_SYNDROME[syndrome]
+
+
+def correction_for(syndrome: str) -> PauliString:
     """Table lookup: the single-qubit operator restoring |psi> on qubit 1."""
-    return _CORRECTION_FOR_RESIDUAL[correction_label_for(s)]
+    return _CORRECTION_FOR_RESIDUAL[correction_label_for(syndrome)]
 
 
 def error_operator(label: str, n: int = 5, offset: int = 0) -> PauliString:
@@ -280,18 +269,12 @@ def simulated_syndrome_table(seed: int = 0) -> list[tuple[str, str, str]]:
         err = error_operator(label)
         svsim.apply_pauli(state, err)
         syn, residual = decode_and_syndrome(state)
-        psi = np.array([alpha, beta])
-        candidates = {
-            "I": psi,
-            "X": np.array([beta, alpha]),
-            "XZ": np.array([-beta, alpha]),
-            "Z": np.array([alpha, -beta]),
-        }
-        which = None
-        for name, target in candidates.items():
-            if abs(np.vdot(target, residual.amps)) > 1 - 1e-9:
+        which = "?"
+        for name, corr in _CORRECTION_FOR_RESIDUAL.items():
+            fixed = svsim.apply_pauli(residual.copy(), corr)
+            if abs(np.vdot([alpha, beta], fixed.amps)) > 1 - 1e-9:
                 which = name
                 break
         shown = "None" if label == "I" else label
-        rows.append((shown, str(syn), which or "?"))
+        rows.append((shown, syn, which))
     return rows

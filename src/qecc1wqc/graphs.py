@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import CZ, Gate, H, S, SDG, Z
-from .tableau import Tableau
+from .tableau import Tableau, run_gates
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -54,6 +54,10 @@ class Graph:
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
+
+    def cz_gates(self) -> list[Gate]:
+        """The graph state's preparation from |+>^n: CZ along the sorted edges."""
+        return [CZ(a, b) for a, b in sorted(self.edges)]
 
 
 def local_complement(g: Graph, v: int) -> Graph:
@@ -99,10 +103,7 @@ def pivot_layer_gates(g: Graph, u: int, v: int) -> list[Gate]:
 
 
 def graph_to_tableau(g: Graph) -> Tableau:
-    t = Tableau.initialized(g.n, ["+"] * g.n)
-    for a, b in sorted(g.edges):
-        t.apply(CZ(a, b))
-    return t
+    return run_gates(Tableau.initialized(g.n, ["+"] * g.n), g.cz_gates())
 
 
 def tableau_to_graph(t: Tableau) -> tuple[Graph, list[Gate]]:

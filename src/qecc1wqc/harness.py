@@ -21,16 +21,6 @@ SCHEMA = "1"
 SUCCESS_FIDELITY = 1 - 1e-6
 
 
-@dataclass(frozen=True)
-class Depolarizing:
-    p: float
-    kind: str = "iid-depolarizing"
-
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError("p must lie in [0, 1]")
-
-
 @dataclass
 class TrialResult:
     injected: str
@@ -65,8 +55,7 @@ def _op_counts() -> dict:
 WEIGHT1_LABELS = tuple(lbl for lbl in code5.SYNDROME_TABLE if lbl != "I")
 
 
-def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7,
-                                    keep_trials: bool = True) -> RunReport:
+def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7) -> RunReport:
     """No-error case plus all fifteen single-qubit Paulis in the protected
     window; asserts every syndrome matches the lookup table."""
     rng = np.random.default_rng(seed)
@@ -92,7 +81,7 @@ def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7,
     return RunReport("exhaustive-single-pauli", seed, len(trials), successes,
                      round(mean, 12), _op_counts(),
                      details={"xi": xi, "all_corrected": successes == len(trials)},
-                     per_trial=trials if keep_trials else [])
+                     per_trial=trials)
 
 
 # -- depolarizing Monte Carlo ----------------------------------------------------
@@ -174,14 +163,14 @@ def _read_pattern(x: int, z: int, overlaps: dict) -> tuple[str, float]:
     X^a Z^b on qubit 0.  On register B the error either leaves the code
     space or acts as a logical X^lx Z^lz.
     """
-    syndrome = code5.Syndrome(tuple((x >> q) & 1 for q in range(1, 5)))
+    syndrome = code5.syndrome_string((x >> q) & 1 for q in range(1, 5))
     corr = code5.correction_for(syndrome)
     xb, zb = x >> 5, z >> 5
     if any(_anticommutes(xb, zb, s) for s in _CODE_STABILIZERS):
-        return str(syndrome), 0.0
+        return syndrome, 0.0
     key = ((x ^ corr.x) & 1, (z ^ corr.z) & 1,
            _anticommutes(xb, zb, _LOGICAL_Z), _anticommutes(xb, zb, _LOGICAL_X))
-    return str(syndrome), overlaps[key]
+    return syndrome, overlaps[key]
 
 
 def exhaustive_failure_oracle(psi=None, xi: float = 0.7, seed: int = 12345,
@@ -277,7 +266,8 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     the failure count under the oracle prediction is at least the normal
     5-sigma tail; ``binomial_sigma`` is the standard error of the rate.
     """
-    Depolarizing(p)  # rejects p outside [0, 1]
+    if not 0 <= p <= 1:  # also rejects nan
+        raise ValueError("p must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if oracle is None:
@@ -350,11 +340,11 @@ def run_two_column_computation(xis, seed: int = 0,
         full = StateVector(10, np.kron(state.amps, svsim.init(5, "00000").amps))
         forced = None if forced_ms is None else forced_ms[k]
         syndrome, rec, state = protocols._teleport_hop(full, xi_eff, hop_rng, forced)
-        if str(syndrome) != "0000":
+        if syndrome != "0000":
             raise AssertionError("noiseless hop produced a nonzero syndrome")
         m = rec.outcome
         fx, fz = m ^ fz, fx
-        trials.append(TrialResult("None", str(syndrome), m, 1.0))
+        trials.append(TrialResult("None", syndrome, m, 1.0))
 
     # apply the leftover logical frame, then compare with the gate product
     corrected = state.copy()

@@ -93,13 +93,13 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     data = {k: a_cells[k] for k in a_cells}
     data.update({str(int(k) + 5): b_cells[k] for k in b_cells})
 
-    prep_steps = (e1_stage_steps([A_BASE], dressing=True, fresh={A_BASE: "+"})
+    prep_steps = (e1_stage_steps([A_BASE], fresh=[A_BASE])
                   + e2_stage_steps([A_BASE]))
 
     fan = fan_stage_steps(HUB, -1, prep_hub=True)
     a_dec_e2 = e2_stage_steps([A_BASE])
     a_dec_e1 = e1_adjoint_stage_steps([A_BASE])
-    b_enc_e1 = e1_stage_steps([B_BASE], dressing=True, fresh=None)
+    b_enc_e1 = e1_stage_steps([B_BASE])
     b_enc_e2 = e2_stage_steps([B_BASE])
 
     regions_disjoint = True
@@ -126,8 +126,7 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     hop_ops = lat.counts.global_cz_steps - prep_ops
 
     # syndrome on A's qubits 2..5, then the teleporting X measurement
-    bits = tuple(lat.measure_data(a_cells[k], "Z") for k in "2345")
-    syndrome = code5.Syndrome(bits)
+    syndrome = code5.syndrome_string(lat.measure_data(a_cells[k], "Z") for k in "2345")
     corr = code5.correction_for(syndrome)
     lat.add_frame_pauli(a_cells["1"], x=corr.x & 1, z=corr.z & 1)
     m = lat.measure_data(a_cells["1"], "X")
@@ -137,6 +136,6 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
 
     target, order = target_tableau("hop")
     res = verify_lattice_against(lat, target, order, "hop")
-    return HopReport(mode, prep_ops, hop_ops, str(syndrome),
+    return HopReport(mode, prep_ops, hop_ops, syndrome,
                      code5.correction_label_for(syndrome), m, res.ok,
                      regions_disjoint, res.diagnostic)

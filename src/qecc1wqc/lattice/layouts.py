@@ -161,12 +161,11 @@ def _interiors(chains: list[Chain]) -> list[tuple[int, int]]:
     return out
 
 
-def e1_stage_steps(bases: list[int], dressing: bool,
-                   fresh: dict[int, str] | None) -> list[dict]:
-    """E1 layer for one or more registers sharing the two global layers.
+def e1_stage_steps(bases: list[int], fresh=()) -> list[dict]:
+    """Dressed E1 layer for one or more registers sharing the two global layers.
 
-    ``fresh`` maps a base to the center-cell init symbol when the register
-    is newly prepared; omit a base to keep its (live) center untouched.
+    The centers of the registers in ``fresh`` are newly prepared in |+>;
+    the other centers are live and kept untouched.
     """
     steps: list[dict] = []
     prep: list = []
@@ -175,26 +174,21 @@ def e1_stage_steps(bases: list[int], dressing: bool,
     locals_post = []
     for base in bases:
         w = wheel_cells(base)
-        if fresh is not None and base in fresh:
-            prep += _prep([w["1"]], fresh[base])
-            prep += _prep([w[k] for k in "2345"], "0")
-        else:
-            prep += _prep([w[k] for k in "2345"], "0")
+        if base in fresh:
+            prep += _prep([w["1"]], "+")
+        prep += _prep([w[k] for k in "2345"], "0")
         chs = e1_chains(base)
         chains += chs
         prep += _prep(_interiors(chs), "+")
-        if dressing:
-            locals_pre += [[*w[k], ["H"]] for k in "12345"]
-            locals_post += [[*w["1"], ["H", "Z"]]]
-            locals_post += [[*w[k], ["Z"]] for k in "2345"]
+        locals_pre += [[*w[k], ["H"]] for k in "12345"]
+        locals_post += [[*w["1"], ["H", "Z"]]]
+        locals_post += [[*w[k], ["Z"]] for k in "2345"]
     steps.append({"prepare": prep})
-    if dressing:
-        steps.append({"local": locals_pre})
+    steps.append({"local": locals_pre})
     steps.append({"global_cz": "vertical"})
     steps.append({"global_cz": "horizontal"})
     steps.append({"chains": [_chain_obj(c) for c in chains]})
-    if dressing:
-        steps.append({"local": locals_post})
+    steps.append({"local": locals_post})
     return steps
 
 
@@ -315,7 +309,7 @@ def schedule_LP_full() -> dict:
     cells = {k: list(v) for k, v in w.items()}
     cells["6"] = list(hub)
     steps: list[dict] = []
-    steps += e1_stage_steps([0], dressing=True, fresh={0: "+"})
+    steps += e1_stage_steps([0], fresh=[0])
     steps += e2_stage_steps([0])
     steps += fan_stage_steps(hub, -1, prep_hub=True)
     return {"name": "LP_full", "grid": [GRID_ROWS, 29],
@@ -333,14 +327,14 @@ def schedule_horseshoe() -> dict:
     bridge = Chain(hub_b, hub_c,
                    [(9, 26), (10, 26)] + _row(10, 27, 43) + [(10, 44), (9, 44)])
     steps: list[dict] = []
-    steps += e1_stage_steps([bases["A"], bases["D"]], dressing=True,
-                            fresh={bases["A"]: "+", bases["D"]: "+"})
+    steps += e1_stage_steps([bases["A"], bases["D"]],
+                            fresh=[bases["A"], bases["D"]])
     steps += e2_stage_steps([bases["A"], bases["D"]],
                             extra_chains=[bridge],
                             extra_prep=_prep([hub_b, hub_c], "+"))
     steps += fan_stage_steps(hub_b, -1, prep_hub=False,
                              more_fans=[(hub_c, +1)])
-    steps += e1_stage_steps([bases["B"], bases["C"]], dressing=True, fresh=None)
+    steps += e1_stage_steps([bases["B"], bases["C"]])
     steps += e2_stage_steps([bases["B"], bases["C"]])
     return {"name": "horseshoe_lattice", "grid": [GRID_ROWS, 72],
             "data_cells": cells, "steps": steps, "expected_global_cz": 11}

@@ -14,44 +14,33 @@ internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import code5, svsim
-from .circuit import CZ, Circuit, Gate, H, Z
+from .circuit import CZ, Circuit, H, Z
 from .graphs import Graph, graph_to_tableau, pivot, pivot_layer_gates, tableau_to_graph
 from .pauli import PauliString
 from .svsim import StateVector
 from .tableau import Tableau, run_gates
 
-GHZ_VERIFY_DEFAULT_ROUNDS = 4
+
+# -- logical cluster states ----------------------------------------------------
 
 
-# -- logical two-qubit cluster state -----------------------------------------
+def linear_cluster_graph(registers: int) -> Graph:
+    """Logical linear cluster on five-qubit registers 0..4, 5..9, ...
 
-
-def lcs2_graph() -> Graph:
-    """Ten-vertex graph: two pentagons plus all 25 cross edges."""
-    edges = []
-    for a, b in code5.PENTAGON_EDGES:
-        edges.append((a, b))
-        edges.append((a + 5, b + 5))
-    for m in range(5):
-        for n in range(5, 10):
-            edges.append((m, n))
-    return Graph.from_edges(10, edges)
-
-
-def build_lcs2_circuit() -> Circuit:
-    c = Circuit(10)
-    for m in range(5):
-        for n in range(5, 10):
-            c.append(CZ(m, n))
-    for a, b in code5.PENTAGON_EDGES:
-        c.append(CZ(a, b))
-        c.append(CZ(a + 5, b + 5))
-    return c
+    A pentagon on each register and K5,5 between consecutive registers.
+    Two registers give the ten-vertex, degree-seven LCS2 graph; four give
+    the horseshoe (degree 7 on the end registers, 12 inside).
+    """
+    edges = [(5 * r + a, 5 * r + b)
+             for r in range(registers) for a, b in code5.PENTAGON_EDGES]
+    edges += [(m, n) for r in range(registers - 1)
+              for m in range(5 * r, 5 * r + 5) for n in range(5 * r + 5, 5 * r + 10)]
+    return Graph.from_edges(5 * registers, edges)
 
 
 def assemble_lcs2_target() -> StateVector:
@@ -67,10 +56,12 @@ def assemble_lcs2_target() -> StateVector:
 
 
 def build_LCS2() -> tuple[Circuit, StateVector, Graph]:
-    c = build_lcs2_circuit()
+    """The two-register graph state: its 35-gate circuit, state and graph."""
+    graph = linear_cluster_graph(2)
+    c = Circuit(10, graph.cz_gates())
     state = svsim.init(10, "+" * 10)
     svsim.run_circuit(state, c)
-    return c, state, lcs2_graph()
+    return c, state, graph
 
 
 # -- logical-physical cluster state -------------------------------------------
@@ -204,7 +195,7 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
     fid = svsim.fidelity(out, teleport_target(psi, xi, rec.outcome))
     return TeleportReport(
         m=rec.outcome,
-        syndrome=str(syndrome),
+        syndrome=syndrome,
         correction=code5.correction_label_for(syndrome),
         injected_error=None if injected_error is None else injected_error.to_label(),
         error_stage=None if injected_error is None else error_stage,
@@ -222,7 +213,7 @@ def _teleport_hop(state: StateVector, xi: float, rng, forced_m: int | None = Non
     Runs the fan and B's encoder, the decoder on A, reads the syndrome,
     applies the table correction and measures qubit 0 at angle -xi; an
     optional 10-qubit ``error`` strikes at ``error_stage``.  Mutates
-    ``state``; returns (Syndrome, XY MeasurementRecord, B StateVector).
+    ``state``; returns (syndrome string, XY MeasurementRecord, B StateVector).
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
@@ -232,8 +223,8 @@ def _teleport_hop(state: StateVector, xi: float, rng, forced_m: int | None = Non
     if error is not None and error_stage == "protected":
         svsim.apply_pauli(state, error)
     svsim.run_circuit(state, HOP_DECODE_A)
-    bits = tuple(svsim.measure(state, q, "Z", rng=rng)[0].outcome for q in range(1, 5))
-    syndrome = code5.Syndrome(bits)
+    syndrome = code5.syndrome_string(
+        svsim.measure(state, q, "Z", rng=rng)[0].outcome for q in range(1, 5))
     corr = code5.correction_for(syndrome)
     svsim.apply_pauli(state, PauliString(10, corr.x, corr.z, corr.phase))
     rec, _ = svsim.measure(state, 0, "XY", rng=rng, forced=forced_m, xi=-xi)
@@ -294,20 +285,6 @@ def push_through_check(n_random: int = 20, seed: int = 0,
 
 
 # -- horseshoe (four-register linear cluster) --------------------------------------
-
-
-def horseshoe_graph() -> Graph:
-    """Twenty-vertex graph: four pentagons, K5,5 between consecutive registers."""
-    edges = []
-    for r in range(4):
-        base = 5 * r
-        for a, b in code5.PENTAGON_EDGES:
-            edges.append((base + a, base + b))
-    for r in range(3):
-        for m in range(5 * r, 5 * r + 5):
-            for n in range(5 * r + 5, 5 * r + 10):
-                edges.append((m, n))
-    return Graph.from_edges(20, edges)
 
 
 def build_horseshoe_circuit() -> Circuit:
@@ -396,125 +373,19 @@ def horseshoe_intermediate(psi: tuple[complex, complex],
     return st, StateVector(12, target)
 
 
-# -- GHZ-verified encoding -------------------------------------------------------
-
-
-@dataclass
-class GhzVerifyRound:
-    generator: str
-    syndrome_bit: int
-    ancilla_checks: list[int] = field(default_factory=list)
-    ancilla_ok: bool = True
-
-
-@dataclass
-class GhzVerifyReport:
-    rounds: list[GhzVerifyRound]
-    flagged: bool
-    ancilla_failures: int
-
-
-def _controlled_pauli(state: StateVector, control: int, target: int, letter: str) -> None:
-    if letter == "Z":
-        svsim.apply(state, CZ(control, target))
-        return
-    if letter == "Y":
-        svsim.apply(state, Gate("SDG", (target,)))
-    svsim.apply(state, H(target))
-    svsim.apply(state, CZ(control, target))
-    svsim.apply(state, H(target))
-    if letter == "Y":
-        svsim.apply(state, Gate("S", (target,)))
-
-
-def ghz_verify_logical(state: StateVector, rounds: int = GHZ_VERIFY_DEFAULT_ROUNDS,
-                       ancilla_error: PauliString | None = None,
-                       verify_ancilla: bool = True,
-                       rng=None) -> GhzVerifyReport:
-    """Measure the code generators through four-qubit GHZ ancillas.
-
-    Each round entangles one GHZ (cat) qubit with each data qubit in the
-    support of one stabilizer generator; the parity of the X-basis cat
-    outcomes is that generator's syndrome bit.  Cat states are optionally
-    self-checked with pairwise parity probes before use, so a corrupted
-    ancilla is reported as an ancilla failure rather than a data error.
-    """
-    if state.n != 5:
-        raise ValueError("expected a 5-qubit register")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    gens = code5.code_stabilizers()
-    out_rounds: list[GhzVerifyRound] = []
-    data = state.copy()
-    for r in range(rounds):
-        gen = gens[r % len(gens)]
-        support = [q for q in range(5) if gen.x_bit(q) or gen.z_bit(q)]
-        letters = []
-        for q in support:
-            xb, zb = gen.x_bit(q), gen.z_bit(q)
-            letters.append("Y" if xb and zb else ("X" if xb else "Z"))
-        k = len(support)
-        # data (0..4) + cat (5..4+k) + probe (5+k)
-        n_tot = 5 + k + (1 if verify_ancilla else 0)
-        full = StateVector(n_tot, np.kron(
-            data.amps,
-            svsim.init(n_tot - 5, "0" * (n_tot - 5)).amps))
-        # cat = (|0..0> + |1..1>)/sqrt(2) via H + CNOT chain
-        svsim.apply(full, H(5))
-        for j in range(1, k):
-            svsim.apply(full, H(5 + j))
-            svsim.apply(full, CZ(5 + j - 1, 5 + j))
-            svsim.apply(full, H(5 + j))
-        if ancilla_error is not None:
-            err = ancilla_error
-            shifted = PauliString(n_tot, err.x << 5, err.z << 5, err.phase)
-            svsim.apply_pauli(full, shifted)
-        checks = []
-        ancilla_ok = True
-        if verify_ancilla:
-            probe = 5 + k
-            for (i, j) in [(a, a + 1) for a in range(k - 1)]:
-                for cat_q in (5 + i, 5 + j):
-                    svsim.apply(full, H(probe))
-                    svsim.apply(full, CZ(cat_q, probe))
-                    svsim.apply(full, H(probe))
-                rec, _ = svsim.measure(full, probe, "Z", rng=rng)
-                checks.append(rec.outcome)
-                if rec.outcome:
-                    ancilla_ok = False
-                    svsim.apply(full, Gate("X", (probe,)))  # reset for next check
-        for j, (q, letter) in enumerate(zip(support, letters)):
-            _controlled_pauli(full, 5 + j, q, letter)
-        parity = 0
-        for j in range(k):
-            rec, _ = svsim.measure(full, 5 + j, "X", rng=rng)
-            parity ^= rec.outcome
-        out_rounds.append(GhzVerifyRound(gen.to_label(), parity, checks, ancilla_ok))
-        data = svsim.extract_pure(full, [0, 1, 2, 3, 4])
-    flagged = any(r.syndrome_bit for r in out_rounds)
-    failures = sum(0 if r.ancilla_ok else 1 for r in out_rounds)
-    return GhzVerifyReport(out_rounds, flagged, failures)
-
-
 # -- nine-gate entangler ----------------------------------------------------------
 
 
-def nine_gate_entangler() -> tuple[Circuit, int]:
-    """Two GHZ-type stars bridged by one gate; nine entangling gates total."""
-    c = Circuit(10)
-    c.append(CZ(0, 5))
-    for i in range(1, 5):
-        c.append(CZ(0, i))
-    for j in range(6, 10):
-        c.append(CZ(5, j))
-    return c, c.two_qubit_gate_count()
-
-
 def nine_gate_graph() -> Graph:
+    """Two GHZ-type stars centred on 0 and 5, bridged by the edge (0, 5)."""
     edges = [(0, 5)] + [(0, i) for i in range(1, 5)] + [(5, j) for j in range(6, 10)]
     return Graph.from_edges(10, edges)
+
+
+def nine_gate_entangler() -> tuple[Circuit, int]:
+    """The nine-gate graph's circuit and its entangling-gate count."""
+    c = Circuit(10, nine_gate_graph().cz_gates())
+    return c, c.two_qubit_gate_count()
 
 
 def k55_graph() -> Graph:

@@ -105,8 +105,8 @@ def test_criterion_5_gate_counts():
 
 
 def test_criterion_6_graph_structure():
-    lcs2 = protocols.lcs2_graph()
-    horseshoe = protocols.horseshoe_graph()
+    lcs2 = protocols.linear_cluster_graph(2)
+    horseshoe = protocols.linear_cluster_graph(4)
     degs = horseshoe.degrees()
     endpoint_ok = all(degs[i] == 7 for i in list(range(5)) + list(range(15, 20)))
     interior_ok = all(degs[i] == 12 for i in range(5, 15))

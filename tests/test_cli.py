@@ -280,3 +280,17 @@ def test_syndrome_table_stdout_is_the_table(tmp_path, capsys):
     assert header == "Error\tSyndrome\tOutcome"
     assert len(rows) == 16
     assert all(len(row.split("\t")) == 3 for row in rows)
+
+
+def test_syndrome_table_mismatch_is_reported(tmp_path, capsys, monkeypatch):
+    """A simulated row the table does not name exits 1, not a traceback."""
+    from qecc1wqc import code5
+    rows = code5.syndrome_table_rows()
+    rows[-1] = ("Z1", "1111", "?")
+    monkeypatch.setattr(code5, "simulated_syndrome_table", lambda seed=0: rows)
+    out = tmp_path / "t.json"
+    assert main(["--json", str(out), "syndrome-table"]) == 1
+    captured = capsys.readouterr()
+    assert "MISMATCH with built-in table" in captured.err
+    assert captured.out.splitlines()[-1] == "Z1\t1111\t?|psi>"
+    assert json.loads(out.read_text())["ok"] is False

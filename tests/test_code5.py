@@ -142,12 +142,18 @@ def test_all_sixteen_syndromes_distinct():
 
 
 def test_correction_examples():
-    assert code5.correction_for(code5.Syndrome.from_string("0000")).is_identity()
-    xz = code5.correction_for(code5.Syndrome.from_string("1101"))
+    assert code5.correction_for("0000").is_identity()
+    xz = code5.correction_for("1101")
     assert xz == compose_pauli(PauliString.single(1, 0, "X"),
                                PauliString.single(1, 0, "Z"))
-    z = code5.correction_for(code5.Syndrome.from_string("1111"))
+    z = code5.correction_for("1111")
     assert z == PauliString.single(1, 0, "Z")
+
+
+@pytest.mark.parametrize("bad", ["", "000", "00000", "0x00"])
+def test_correction_rejects_unknown_syndrome(bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        code5.correction_label_for(bad)
 
 
 def test_transversal_logical_operators():

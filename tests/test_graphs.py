@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qecc1wqc import svsim
@@ -63,6 +64,24 @@ def test_graph_tableau_roundtrip_is_identity(rng):
         back, layer = tableau_to_graph(t)
         assert back.edges == g.edges
         assert layer == []
+
+
+def test_cz_gates_prepare_the_graph_state(rng):
+    """One CZ per edge, in sorted order, taking |+>^n to the graph state:
+    amplitude (-1)^(edges inside the 1-set of the basis index) / sqrt(2^n)."""
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        g = _random_graph(rng, n)
+        gates = g.cz_gates()
+        assert [gt.targets for gt in gates] == sorted(g.edges)
+        assert all(gt.kind == "CZ" for gt in gates)
+        state = svsim.init(n, "+" * n)
+        for gt in gates:
+            svsim.apply(state, gt)
+        ones = [{q for q in range(n) if (idx >> (n - 1 - q)) & 1}
+                for idx in range(2**n)]
+        signs = [(-1) ** sum(a in s and b in s for a, b in g.edges) for s in ones]
+        assert np.allclose(state.amps, np.array(signs) / np.sqrt(2**n))
 
 
 def test_empty_graph_gives_x_generators():

@@ -98,8 +98,6 @@ def test_two_column_forced_ms_length_checked(forced_ms):
 
 def test_depolarizing_validates_arguments():
     with pytest.raises(ValueError):
-        harness.Depolarizing(1.5)
-    with pytest.raises(ValueError):
         harness.run_depolarizing(0.1, 0)
     for p in (2, -0.1, float("nan")):
         with pytest.raises(ValueError):

@@ -18,6 +18,26 @@ def test_lcs2_state_matches_assembled_target():
     assert svsim.fidelity(state, protocols.assemble_lcs2_target()) > 1 - 1e-10
 
 
+@pytest.mark.parametrize("registers", [1, 2, 3, 4, 5])
+def test_linear_cluster_graph_structure(registers):
+    """A pentagon on each register, K5,5 between consecutive registers and
+    no edge between registers further apart."""
+    g = protocols.linear_cluster_graph(registers)
+    assert g.n == 5 * registers
+    assert len(g.edges) == 5 * registers + 25 * (registers - 1)
+    for a, b in g.edges:
+        ra, rb = a // 5, b // 5
+        if ra == rb:
+            assert tuple(sorted((a % 5, b % 5))) in {
+                tuple(sorted(e)) for e in code5.PENTAGON_EDGES}
+        else:
+            assert abs(ra - rb) == 1
+    ends = 2 + 5 if registers > 1 else 2
+    for r in range(registers):
+        inner = 0 < r < registers - 1
+        assert g.degrees()[5 * r:5 * r + 5] == [2 + 10 if inner else ends] * 5
+
+
 def test_lcs2_graph_degrees_all_seven():
     _, _, graph = protocols.build_LCS2()
     assert graph.degrees() == [7] * 10
@@ -61,7 +81,7 @@ def test_lcs2_sequential_vs_graph_circuit_frame():
     alpha|0L>|+L> + beta|1L>|-L> form for a |+> input."""
     seq_circuit = protocols.build_teleport_circuit()
     assert seq_circuit.two_qubit_gate_count() == 23
-    graph_circuit = protocols.build_lcs2_circuit()
+    graph_circuit = protocols.build_LCS2()[0]
     assert graph_circuit.two_qubit_gate_count() == 35
 
     seq = svsim.init(10, "+000000000")
@@ -208,7 +228,7 @@ def test_horseshoe_gate_counts():
 
 
 def test_horseshoe_graph_degrees():
-    g = protocols.horseshoe_graph()
+    g = protocols.linear_cluster_graph(4)
     degs = g.degrees()
     assert all(degs[i] == 7 for i in list(range(5)) + list(range(15, 20)))
     assert all(degs[i] == 12 for i in range(5, 15))
@@ -232,7 +252,7 @@ def test_horseshoe_tableau_vs_graph_state():
     from qecc1wqc.circuit import Z
     for q in range(20):
         t.apply(Z(q))
-    assert t.stab_equal(graph_to_tableau(protocols.horseshoe_graph()))
+    assert t.stab_equal(graph_to_tableau(protocols.linear_cluster_graph(4)))
 
 
 def test_horseshoe_intermediate_slice(rng):
@@ -252,38 +272,6 @@ def test_horseshoe_dense_mode_matches_tableau():
         out = dense.copy()
         svsim.apply_pauli(out, row)
         assert svsim.fidelity(out, dense) > 1 - 1e-9
-
-
-# -- GHZ verification ---------------------------------------------------------------
-
-
-def test_ghz_verify_clean_state_all_zero(rng):
-    rep = protocols.ghz_verify_logical(code5.logical_minus(), rounds=4, rng=rng)
-    assert not rep.flagged
-    assert [r.syndrome_bit for r in rep.rounds] == [0, 0, 0, 0]
-    assert rep.ancilla_failures == 0
-
-
-@pytest.mark.parametrize("qubit", range(5))
-def test_ghz_verify_flags_single_z_error(qubit, rng):
-    state = code5.logical_minus()
-    svsim.apply_pauli(state, PauliString.single(5, qubit, "Z"))
-    rep = protocols.ghz_verify_logical(state, rounds=4, rng=rng)
-    assert rep.flagged
-
-
-def test_ghz_verify_corrupted_ancilla_is_distinguished(rng):
-    rep = protocols.ghz_verify_logical(
-        code5.logical_minus(), rounds=1,
-        ancilla_error=PauliString.single(4, 1, "X"), rng=rng)
-    assert rep.ancilla_failures == 1
-    assert not rep.rounds[0].ancilla_ok
-
-
-def test_ghz_verify_encoded_state(rng):
-    alpha, beta = random_qubit(rng)
-    rep = protocols.ghz_verify_logical(code5.encode((alpha, beta)), rounds=8, rng=rng)
-    assert not rep.flagged
 
 
 # -- nine-gate entangler ---------------------------------------------------------------
