@@ -15,16 +15,25 @@ in X implements CZ between the endpoints up to Z byproducts:
 X measurements and finished by a Y measurement of the last ancilla, a
 deterministic S^dag on both endpoints, and Z_u Z_v when the Y outcome is 1.
 
-Every created edge is counted until a chain consumes it.  A chain edge must
-have been created exactly once, and a measured interior cell may carry no
-other edge, so a schedule whose layers link the wrong cells fails as it
-runs instead of leaving a wrong state behind.
+Each step is as few tableau operations as the physics allows.  The CZs of
+a global layer commute, so a layer is one ``Tableau.apply_cz_layer`` call
+(a distant CZ path is another); a prepared cell gets its qubit already in
+its symbol, and the cells a step reuses are reset and then take their
+symbol gates in one masked pass; chain cells are measured in X and Y
+directly, without conjugating gates.
+
+Every created edge is recorded, with the global layer that created it,
+until a chain consumes it.  A chain edge must have been created exactly
+once, and a measured interior cell may carry no other edge, so a schedule
+whose layers link the wrong cells fails as it runs instead of leaving a
+wrong state behind.
 
 The byproduct frame is one Pauli string over the tableau qubits and maps
 ideal = frame * actual, up to a global phase that nothing reads.  Every
-applied gate conjugates the frame (``pauli.conjugate_pauli``); measurements
-never change it but their raw outcomes are reinterpreted (X flips with the
-Z bit, Z with the X bit, Y with both).
+applied gate conjugates the frame (``pauli.conjugate_pauli``; a CZ layer
+by the same rule in one pass); measurements never change it but their raw
+outcomes are reinterpreted (X flips with the Z bit, Z with the X bit, Y
+with both).
 """
 
 from __future__ import annotations
@@ -33,15 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit import CZ, Gate
+from ..circuit import Gate
 from ..pauli import PauliString, conjugate_pauli
-from ..tableau import EntangledError, Tableau
+from ..tableau import INIT_SYMBOLS, EntangledError, Tableau
 
 # Most cells one lattice may give a qubit (the largest named schedule uses
 # 397).  Tableau memory grows with the square of this count.
 MAX_CELLS = 4096
 
-_SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
 _LOCAL_GATES = ("H", "S", "SDG", "X", "Y", "Z")
 
 
@@ -84,6 +92,29 @@ def _edge(a: tuple[int, int], b: tuple[int, int]) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _check_forced(forced: list[int] | None, k: int) -> None:
+    """A forced outcome list gives one 0 or 1 per interior cell."""
+    if forced is None:
+        return
+    if len(forced) != k:
+        raise LatticeError(f"forced has {len(forced)} outcomes for {k} interior cells")
+    bad = [m for m in forced if m not in (0, 1)]
+    if bad:
+        raise LatticeError(f"forced outcomes must be 0 or 1, got {bad[0]!r}")
+
+
+def _conjugate_cz_layer(p: PauliString, pairs) -> PauliString:
+    """``p`` conjugated by CZ on every qubit pair: the bits that
+    ``conjugate_pauli`` gives pair by pair, in one pass (the CZ rule reads
+    only the X bits, which it never changes)."""
+    x, dz, flips = p.x, 0, 0
+    for a, b in pairs:
+        xa, xb = (x >> a) & 1, (x >> b) & 1
+        dz ^= (xb << a) | (xa << b)
+        flips += xa & xb
+    return PauliString(p.n, x, p.z ^ dz, p.phase + 2 * flips)
+
+
 def _alternating_parities(outcomes: list[int]) -> tuple[int, int]:
     """Z byproducts (near end, far end) of X-measured chain cells: the near
     end takes the outcomes at even positions 2, 4, ... counted from it, the
@@ -107,8 +138,9 @@ class Lattice:
         self.active: set[tuple[int, int]] = set()
         self.ever_measured: set[tuple[int, int]] = set()
         self.frame = PauliString(0)   # byproducts on the tableau qubits
-        # created edges not yet consumed by a chain -> times created
-        self.pending: dict[tuple, int] = {}
+        # created edges not yet consumed by a chain -> the global layers
+        # (0-based) that created them; None stands for a distant_cz path
+        self.pending: dict[tuple, list[int | None]] = {}
         self.counts = OpCountReport()
         self._rng = np.random.default_rng()
 
@@ -131,15 +163,15 @@ class Lattice:
         if not self._in_grid(rc):
             raise LatticeError(f"cell {tuple(rc)} outside the grid")
 
-    def _allocate(self, cells: list[tuple[int, int]]) -> None:
-        """Give each new cell a fresh |0> qubit, in one tableau resize."""
-        new = [rc for rc in dict.fromkeys(cells) if rc not in self._qubits]
+    def _allocate(self, new: list[tuple[int, int]], symbols=None) -> None:
+        """Give each cell in ``new`` (distinct, without a qubit) a fresh
+        qubit in its symbol (default |0>), in one tableau resize."""
         if not new:
             return
         if self.n + len(new) > MAX_CELLS:
             raise LatticeError(
                 f"lattice would use {self.n + len(new)} cells; the limit is {MAX_CELLS}")
-        for rc, q in zip(new, self.tab.add_qubits(len(new))):
+        for rc, q in zip(new, self.tab.add_qubits(len(new), symbols)):
             self._qubits[rc] = q
             self.cells.append(rc)
         f = self.frame
@@ -175,22 +207,29 @@ class Lattice:
 
         Re-preparing a cell that is still active (entangled or not) is an
         error; only fresh or measured-and-released cells may be prepared.
+        Fresh cells get a qubit already in their symbol; a measured cell is
+        reset to |0>, and the symbol gates of all reused cells are then
+        applied in one pass.
         """
         cells = [(tuple(rc), sym) for rc, sym in cells]
-        self._allocate([rc for rc, _ in cells if self._in_grid(rc)])
+        seen = set()
         for rc, sym in cells:
-            if rc in self.active:
+            if rc in self.active or rc in seen:
                 raise LatticeError(f"cell {rc} is active; measure it before re-preparing")
-            q = self.qubit(rc)
-            gates = _SYMBOL_GATES.get(str(sym))
-            if gates is None:
+            self._check_cell(rc)
+            if str(sym) not in INIT_SYMBOLS:
                 raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
+            seen.add(rc)
+        fresh = [(rc, str(sym)) for rc, sym in cells if rc not in self._qubits]
+        reused = [(self._qubits[rc], str(sym)) for rc, sym in cells if rc in self._qubits]
+        self._allocate([rc for rc, _ in fresh], [sym for _, sym in fresh])
+        for rc, _ in cells:
             if rc in self.ever_measured:
-                self.tab.reset_to_zero(q, rng=self._rng)
-            for kind in gates:
-                self.tab.apply(Gate(kind, (q,)))
+                self.tab.reset_to_zero(self._qubits[rc], rng=self._rng)
+        self.tab.apply_symbol_gates([q for q, _ in reused], [sym for _, sym in reused])
+        for rc, _ in cells:
             self.active.add(rc)
-            self._clear_frame(q)
+            self._clear_frame(self._qubits[rc])
 
     def local_ops(self, ops: list[tuple[tuple[int, int], list[str]]]) -> None:
         for rc, kinds in ops:
@@ -203,10 +242,14 @@ class Lattice:
                 self._apply(Gate(kind, (self.qubit(rc),)))
         self.counts.local_layers += 1
 
-    def _apply_cz(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        self._apply(CZ(self.qubit(a), self.qubit(b)))
-        e = _edge(a, b)
-        self.pending[e] = self.pending.get(e, 0) + 1
+    def _entangle(self, pairs, layer: int | None) -> None:
+        """CZ on every pair of cells at once, on the state and the frame;
+        each edge is recorded as created by ``layer``."""
+        qubit_pairs = [(self.qubit(a), self.qubit(b)) for a, b in pairs]
+        self.tab.apply_cz_layer(qubit_pairs)
+        self.frame = _conjugate_cz_layer(self.frame, qubit_pairs)
+        for a, b in pairs:
+            self.pending.setdefault(_edge(a, b), []).append(layer)
 
     def adjacent_active_pairs(self, axis: str):
         dr, dc = (1, 0) if axis.startswith("v") else (0, 1)
@@ -222,8 +265,7 @@ class Lattice:
         if axis not in ("vertical", "horizontal", "v", "h"):
             raise LatticeError(f"bad axis {axis!r}")
         pairs = self.adjacent_active_pairs(axis)
-        for a, b in pairs:
-            self._apply_cz(a, b)
+        self._entangle(pairs, self.counts.global_cz_steps)
         self.counts.global_cz_steps += 1
         return pairs
 
@@ -245,19 +287,21 @@ class Lattice:
         """Consume a chain: measure its interior, record byproducts, release.
 
         Returns the frame-corrected interior outcomes.  ``forced`` forces the
-        raw tableau outcomes (for exhaustive byproduct tests).  Each chain
+        raw tableau outcomes, one 0 or 1 per interior cell (for exhaustive
+        byproduct tests).  Each chain
         edge must have been created exactly once, and no other edge may touch
         an interior cell.
         """
         chain.validate_geometry()
         u, v = tuple(chain.u), tuple(chain.v)
         interior = [tuple(rc) for rc in chain.interior]
+        _check_forced(forced, len(interior))
         for rc in interior:
             if rc not in self.active:
                 raise LatticeError(f"chain interior {rc} is not active")
         for a, b in chain.edges():
             e = _edge(tuple(a), tuple(b))
-            created = self.pending.pop(e, 0)
+            created = len(self.pending.pop(e, ()))
             if created != 1:
                 raise LatticeError(f"chain edge {e} created {created} times")
         for r, c in interior:
@@ -306,11 +350,11 @@ class Lattice:
         interior = [tuple(rc) for rc in path_interior]
         if len(interior) % 2 != 0:
             raise LatticeError("distant CZ requires an even number of interior ancillae")
+        _check_forced(forced, len(interior))
         chain = Chain(tuple(u), tuple(v), interior)
         chain.validate_geometry()
         self.prepare([(rc, "+") for rc in interior])
-        for a, b in chain.edges():
-            self._apply_cz(a, b)
+        self._entangle(chain.edges(), None)
         self.counts.distant_cz_ops += 1
         return self.measure_chain(chain, forced=forced)
 

@@ -443,8 +443,9 @@ def run_schedule(sched: dict, seed=None) -> Lattice:
 
     Every step entry is type-checked, and the lattice enforces the edge
     rule: each chain edge is created by exactly one global layer before its
-    chain is measured.  After the last step no edge may be left over and
-    the global-layer count must equal ``expected_global_cz``.  Failures
+    chain is measured.  After the last step no edge may be left over (the
+    error names the step of the earliest layer that made a leftover one)
+    and the global-layer count must equal ``expected_global_cz``.  Failures
     raise ``LatticeError`` naming the schedule and, within the run, the
     step index.
     """
@@ -467,7 +468,10 @@ def run_schedule(sched: dict, seed=None) -> Lattice:
         except LatticeError as exc:
             raise LatticeError(f"{name} step {i}: {exc}") from None
     if lat.pending:
-        raise LatticeError(f"{name}: unconsumed edges {sorted(lat.pending)[:4]}")
+        layer_steps = [i for i, step in enumerate(sched["steps"]) if "global_cz" in step]
+        first = layer_steps[min(layers[0] for layers in lat.pending.values())]
+        raise LatticeError(f"{name}: unconsumed edges {sorted(lat.pending)[:4]} "
+                           f"(first created by step {first})")
     if lat.counts.global_cz_steps != sched["expected_global_cz"]:
         raise LatticeError(f"{name}: {lat.counts.global_cz_steps} global layers, "
                            f"expected {sched['expected_global_cz']}")

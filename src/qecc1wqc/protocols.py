@@ -266,13 +266,14 @@ def push_through_check(n_random: int = 20, seed: int = 0,
         svsim.run_circuit(st, HOP_FAN_ENCODE_B)
         return st
 
+    # the two-register cluster without A's pentagon: the 25 cross CZs and
+    # B's pentagon
+    graph_czs = [g for g in linear_cluster_graph(2).cz_gates() if max(g.targets) >= 5]
+
     def rhs(reg: np.ndarray, with_z_layer: bool) -> StateVector:
         st = StateVector(10, np.kron(reg, svsim.init(5, "+++++").amps))
-        for n in range(5):
-            for mq in range(5, 10):
-                svsim.apply(st, CZ(n, mq))
-        for a, b in code5.PENTAGON_EDGES:
-            svsim.apply(st, CZ(a + 5, b + 5))
+        for g in graph_czs:
+            svsim.apply(st, g)
         if with_z_layer:
             for q in range(5, 10):
                 svsim.apply(st, Z(q))

@@ -9,9 +9,11 @@ Every row is a bit-packed Pauli in the phased X/Z normal form of
 row is bit q % 64 of word q // 64.  ``ph`` holds the phases, one ``uint8``
 per row, kept in 0..3.  Rows 0..n-1 are destabilizers, rows n..2n-1
 stabilizers.  A gate on qubit q reads and rewrites one bit column of all
-rows at once, as in Stim (arXiv:2103.02202).  Measurement in Z follows
-Aaronson and Gottesman (quant-ph/0406196): a random outcome replaces the
-pivot stabilizer with +/-Z_q, a deterministic outcome is read off by
+rows at once, as in Stim (arXiv:2103.02202); a list of commuting CZs and
+the gates that prepare product-state symbols are each one pass.
+Measurement follows Aaronson and Gottesman (quant-ph/0406196) in the
+measured basis itself: a random outcome replaces the pivot stabilizer with
++/-X_q, +/-Y_q or +/-Z_q, a deterministic outcome is read off by
 multiplying the stabilizer partners of the anticommuting destabilizers.
 
 Every distinct numpy kernel maps more of numpy's code into memory the first
@@ -42,6 +44,9 @@ class EntangledError(ValueError):
         self.qubits = qubits
 
 
+INIT_SYMBOLS = ("0", "1", "+", "-")
+
+
 def _words(n: int) -> int:
     return (n + 63) // 64
 
@@ -50,7 +55,7 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """(rows, m) array of 0/1 -> (rows, ceil(m/64)) packed ``uint64`` rows."""
     rows, m = bits.shape
     packed = np.zeros((rows, 8 * _words(m)), dtype=np.uint8)
-    packed[:, :(m + 7) // 8] = np.packbits(bits.astype(bool), axis=1, bitorder="little")
+    packed[:, :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64)
 
 
@@ -88,31 +93,33 @@ class Tableau:
 
     @classmethod
     def initialized(cls, n: int, assignment=None) -> "Tableau":
-        """Product state; per-qubit symbols in {'0', '+'} (default all '0')."""
-        if assignment is None:
-            assignment = ["0"] * n
-        if len(assignment) != n:
-            raise ValueError("assignment length must equal qubit count")
-        w = _words(n)
-        x = np.zeros((2 * n, w), dtype=np.uint64)
-        z = np.zeros((2 * n, w), dtype=np.uint64)
-        for q, sym in enumerate(assignment):
-            word, bit = q >> 6, np.uint64(1 << (q & 63))
-            if str(sym) == "0":
-                x[q, word] = bit          # destabilizer X_q
-                z[n + q, word] = bit      # stabilizer   Z_q
-            elif str(sym) == "+":
-                z[q, word] = bit          # destabilizer Z_q
-                x[n + q, word] = bit      # stabilizer   X_q
-            else:
-                raise ValueError(f"unsupported init symbol {sym!r}")
-        return cls(n, x, z, np.zeros(2 * n, dtype=np.uint8))
+        """Product state; per-qubit symbols in {'0', '1', '+', '-'} (default
+        all '0')."""
+        t = cls(0, np.zeros((0, 0), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint64),
+                np.zeros(0, dtype=np.uint8))
+        t.add_qubits(n, assignment)
+        return t
 
     def copy(self) -> "Tableau":
         return Tableau(self.n, self.x.copy(), self.z.copy(), self.ph.copy())
 
-    def add_qubits(self, k: int) -> range:
-        """Append k qubits in |0>; returns their indices."""
+    def add_qubits(self, k: int, assignment=None) -> range:
+        """Append k qubits in the product state ``assignment`` (symbols as
+        for :meth:`initialized`, default all '0'); returns their indices.
+
+        A qubit in |0> or |1> gets destabilizer X_q and stabilizer Z_q, one
+        in |+> or |-> destabilizer Z_q and stabilizer X_q; '1' and '-' put
+        phase 2 on the stabilizer.  These are the rows that X and H, applied
+        to |0>, would leave.
+        """
+        if assignment is None:
+            assignment = "0" * k
+        symbols = [str(sym) for sym in assignment]
+        if len(symbols) != k:
+            raise ValueError("assignment length must equal qubit count")
+        for sym in symbols:
+            if sym not in INIT_SYMBOLS:
+                raise ValueError(f"unsupported init symbol {sym!r}")
         n, m = self.n, self.n + k
         w_old, w = self.x.shape[1], _words(m)
         grown = []
@@ -125,13 +132,16 @@ class Tableau:
         ph = np.zeros(2 * m, dtype=np.uint8)
         ph[:n] = self.ph[:n]
         ph[m:m + n] = self.ph[n:]
-        added = range(n, m)
-        for q in added:
-            word, bit = q >> 6, np.uint64(1 << (q & 63))
-            x[q, word] = bit          # destabilizer X_q
-            z[m + q, word] = bit      # stabilizer   Z_q
+        added = np.arange(n, m)
+        word, bit = added >> 6, np.uint64(1) << (added & 63).astype(np.uint64)
+        in_x = np.array([sym in "+-" for sym in symbols], dtype=bool)
+        # destabilizer row q and stabilizer row m + q each get one bit
+        for d_block, s_block, sel in ((x, z, ~in_x), (z, x, in_x)):
+            d_block[added[sel], word[sel]] = bit[sel]
+            s_block[m + added[sel], word[sel]] = bit[sel]
+        ph[m + added] = [2 * (sym in "1-") for sym in symbols]
         self.n, self.x, self.z, self.ph = m, x, z, ph
-        return added
+        return range(n, m)
 
     def with_paulis(self, x_qubits, z_qubits) -> "Tableau":
         """This state with X on ``x_qubits`` and Z on ``z_qubits`` applied.
@@ -150,10 +160,11 @@ class Tableau:
 
     def _multiply_rows(self, rows: np.ndarray, i: int) -> None:
         """row[h] <- row[h] * row[i] for every h in ``rows``, with phases."""
-        x, z = self.x, self.z
-        self.ph[rows] = (self.ph[rows] + self.ph[i] + 2 * _sign_flips(z[rows], x[i])) & 3
+        x, z, ph = self.x, self.z, self.ph
+        zs = z[rows]
+        ph[rows] = (ph[rows] + ph[i] + 2 * _sign_flips(zs, x[i])) & 3
         x[rows] ^= x[i]
-        z[rows] ^= z[i]
+        z[rows] = zs ^ z[i]
 
     def row_pauli(self, i: int) -> PauliString:
         return PauliString(self.n, _row_int(self.x[i]), _row_int(self.z[i]), int(self.ph[i]))
@@ -214,19 +225,86 @@ class Tableau:
         ph &= 3
         return self
 
+    def apply_cz_layer(self, pairs) -> "Tableau":
+        """CZ on every (a, b) in the list ``pairs``, in one pass over the rows.
+
+        CZ leaves the X block alone and its update reads only X, so the CZs
+        of a list commute: z_a ^= x_b, z_b ^= x_a and the phase gains
+        2 x_a x_b per pair, in any order.  The update works on unpacked bit
+        columns, so targets that share a word cannot overwrite each other.
+        """
+        # one write z_t ^= x_s per (t, s) in (a, b) and (b, a); a qubit in
+        # several pairs takes the XOR of its partners, written one round of
+        # distinct targets at a time
+        rounds: list[list[tuple[int, int]]] = []
+        seen: dict[int, int] = {}
+        for a, b in pairs:
+            for t in (a, b):
+                if not 0 <= t < self.n:
+                    raise ValueError(f"gate target {t} out of range")
+            if a == b:
+                raise ValueError(f"CZ needs two distinct qubits, got {a} twice")
+            for t, s in ((a, b), (b, a)):
+                r = seen[t] = seen.get(t, -1) + 1
+                if r == len(rounds):
+                    rounds.append([])
+                rounds[r].append((t, s))
+        if not rounds:
+            return self
+        xbits = _unpack_bits(self.x, self.n)
+        a, b = np.array(pairs).T
+        self.ph ^= np.bitwise_xor.reduce(xbits[:, a] & xbits[:, b], axis=1) << 1
+        flips = np.zeros_like(xbits)
+        for writes in rounds:
+            t, s = np.array(writes).T
+            flips[:, t] ^= xbits[:, s]
+        self.z ^= _pack_bits(flips)
+        return self
+
+    def apply_symbol_gates(self, qubits, symbols) -> "Tableau":
+        """The gates that take |0> to each symbol ('1': X, '+': H, '-': X
+        then H) on every qubit at once, as masked column updates."""
+        for sym in symbols:
+            if sym not in INIT_SYMBOLS:
+                raise ValueError(f"unsupported init symbol {sym!r}")
+        xs = [q for q, sym in zip(qubits, symbols) if sym in "1-"]
+        hs = [q for q, sym in zip(qubits, symbols) if sym in "+-"]
+        if xs:
+            self.ph ^= _sign_flips(self.z, _qubit_mask(self.n, xs)) << 1
+        if hs:
+            mask = _qubit_mask(self.n, hs)
+            self.ph ^= _sign_flips(self.x & mask, self.z) << 1
+            flip = (self.x ^ self.z) & mask
+            self.x ^= flip
+            self.z ^= flip
+        return self
+
     # -- measurement ------------------------------------------------------------
 
-    def measure_z(self, q: int, rng=None, forced: int | None = None):
-        """Measure Z on qubit q.  Returns (outcome, deterministic)."""
+    def _measure(self, q: int, basis: str, rng, forced: int | None):
+        """Measure the Pauli ``basis`` (X, Y or Z) on qubit q.
+
+        The rows that anticommute with it are those with bit q set in z
+        (X), x (Z) or x ^ z (Y).  A random outcome o turns the pivot
+        stabilizer into the measured Pauli with phase 2o (plus 1 for Y, as
+        Y = i XZ); a deterministic outcome is read off the product of the
+        stabilizer partners of the anticommuting destabilizers.
+        """
+        if forced is not None and forced not in (0, 1):
+            raise ValueError(f"forced outcome must be 0 or 1, got {forced!r}")
         n = self.n
-        w, s = q >> 6, q & 63
-        col = (self.x[:, w] >> s) & 1
-        stab_hits = np.flatnonzero(col[n:])
+        w, bit = q >> 6, np.uint64(1 << (q & 63))
+        px, pz = basis in "XY", basis in "ZY"
+        col = self.x[:, w] if basis == "Z" else self.z[:, w]
+        if basis == "Y":
+            col = col ^ self.x[:, w]
+        anti = col & bit
+        stab_hits = anti[n:].nonzero()[0]
 
         if stab_hits.size:
             pivot = n + int(stab_hits[0])
-            col[pivot] = 0
-            self._multiply_rows(np.flatnonzero(col), pivot)
+            anti[pivot] = 0
+            self._multiply_rows(anti.nonzero()[0], pivot)
             # old stabilizer becomes the destabilizer partner
             d = pivot - n
             self.x[d], self.z[d], self.ph[d] = self.x[pivot], self.z[pivot], self.ph[pivot]
@@ -238,50 +316,50 @@ class Tableau:
                 outcome = int(rng.integers(0, 2))
             self.x[pivot] = 0
             self.z[pivot] = 0
-            self.z[pivot, w] = np.uint64(1 << s)
-            self.ph[pivot] = 2 * outcome
+            if px:
+                self.x[pivot, w] = bit
+            if pz:
+                self.z[pivot, w] = bit
+            self.ph[pivot] = 2 * outcome + (px and pz)
             return outcome, False
 
         # deterministic: multiply the stabilizer partners of the anticommuting
         # destabilizers in row order; the k-th factor picks up the sign of
         # moving its X part past the Z parts of the factors before it
-        rows = np.flatnonzero(col) + n
+        rows = anti.nonzero()[0] + n
         xs, zs = self.x[rows], self.z[rows]
         before = np.bitwise_xor.accumulate(zs, axis=0)[:-1]
         sp = (int(self.ph[rows].sum(dtype=np.int64))
-              + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))) % 4
-        target = np.zeros(self.z.shape[1], dtype=np.uint64)
-        target[w] = np.uint64(1 << s)
-        if (np.count_nonzero(np.bitwise_xor.reduce(xs, axis=0))
-                or np.bitwise_xor.reduce(zs, axis=0).tobytes() != target.tobytes()
+              + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))
+              - (px and pz)) % 4
+        want_x = np.zeros(self.x.shape[1], dtype=np.uint64)
+        want_z = want_x.copy()
+        want_x[w], want_z[w] = px * bit, pz * bit
+        if (np.bitwise_xor.reduce(xs, axis=0).tobytes() != want_x.tobytes()
+                or np.bitwise_xor.reduce(zs, axis=0).tobytes() != want_z.tobytes()
                 or sp % 2 != 0):
-            raise AssertionError("deterministic measurement did not reduce to +/-Z")
-        outcome = 0 if sp == 0 else 1
+            raise AssertionError(
+                f"deterministic measurement did not reduce to +/-{basis}")
+        outcome = sp // 2
         if forced is not None and int(forced) != outcome:
             raise ForcedOutcomeError(
                 f"forced outcome {forced} contradicts deterministic value {outcome}")
         return outcome, True
 
+    def measure_z(self, q: int, rng=None, forced: int | None = None):
+        """Measure Z on qubit q.  Returns (outcome, deterministic)."""
+        return self._measure(q, "Z", rng, forced)
+
     def measure_x(self, q: int, rng=None, forced: int | None = None):
-        self.apply(Gate("H", (q,)))
-        out = self.measure_z(q, rng=rng, forced=forced)
-        self.apply(Gate("H", (q,)))
-        return out
+        return self._measure(q, "X", rng, forced)
 
     def measure_y(self, q: int, rng=None, forced: int | None = None):
         """Outcome 0 is the +i eigenstate."""
-        self.apply(Gate("SDG", (q,)))
-        out = self.measure_x(q, rng=rng, forced=forced)
-        self.apply(Gate("S", (q,)))
-        return out
+        return self._measure(q, "Y", rng, forced)
 
     def measure(self, q: int, basis: str, rng=None, forced: int | None = None):
-        if basis == "Z":
-            return self.measure_z(q, rng, forced)
-        if basis == "X":
-            return self.measure_x(q, rng, forced)
-        if basis == "Y":
-            return self.measure_y(q, rng, forced)
+        if basis in ("Z", "X", "Y"):
+            return self._measure(q, basis, rng, forced)
         raise ValueError(f"tableau measurement supports Z/X/Y, not {basis!r}")
 
     def reset_to_zero(self, q: int, rng=None) -> None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qecc1wqc import svsim
 from qecc1wqc.circuit import CZ, Gate
 from qecc1wqc.graphs import Graph, graph_to_tableau
-from qecc1wqc.lattice import (MAX_CELLS, Lattice, LatticeError, build_schedule,
+from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
 from qecc1wqc.svsim import StateVector
@@ -193,6 +193,24 @@ def test_skipped_measurement_reported():
     bad["steps"][-1]["chains"] = bad["steps"][-1]["chains"][:-1]
     with pytest.raises(LatticeError, match=r"E1_lattice: unconsumed edges \[\(\(8, 8\)"):
         run_schedule(bad, seed=1)
+
+
+@pytest.mark.parametrize("dropped,step", [(0, 2), (3, 1)], ids=["west_arm", "south_arm"])
+def test_leftover_edges_name_their_step(dropped, step):
+    """The leftover-edge error names the step of the global layer that
+    created them: E1's west chain is horizontal (step 2), its south chain
+    vertical (step 1)."""
+    bad = build_schedule("E1_lattice")
+    del bad["steps"][-1]["chains"][dropped]
+    with pytest.raises(LatticeError,
+                       match=rf"unconsumed edges \[.*\] \(first created by step {step}\)$"):
+        run_schedule(bad, seed=1)
+    lat = Lattice(1, 3)
+    lat.prepare([((0, c), "+") for c in range(3)])
+    lat.global_cz("h")
+    lat.global_cz("v")
+    lat.global_cz("h")
+    assert lat.pending == {((0, 0), (0, 1)): [0, 2], ((0, 1), (0, 2)): [0, 2]}
 
 
 def test_unmeasured_ancilla_reported_by_verifier():
@@ -411,3 +429,104 @@ def test_hop_random_seeds():
     for seed in (3, 4):
         rep = run_hop("simultaneous", seed=seed)
         assert rep.verified, rep.diagnostic
+
+
+# -- one tableau call per step -----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 130), data=st.data())
+def test_frame_cz_layer_matches_per_pair_conjugation(n, data):
+    from qecc1wqc.lattice.engine import _conjugate_cz_layer
+    from qecc1wqc.pauli import PauliString, conjugate_pauli
+
+    bits = st.integers(0, 2**n - 1)
+    p = PauliString(n, data.draw(bits), data.draw(bits), data.draw(st.integers(0, 3)))
+    qubit = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1]),
+                               max_size=60))
+    want = p
+    for a, b in pairs:
+        want = conjugate_pauli(want, CZ(a, b))
+    assert _conjugate_cz_layer(p, pairs) == want
+
+
+def test_horseshoe_tableau_call_budget(monkeypatch):
+    """Layers, preparations and X/Y measurements are single tableau
+    operations, so only local gates and chain dressings still go through
+    ``Tableau.apply`` (2,118 calls when every CZ and rotation did)."""
+    calls = []
+    apply = Tableau.apply
+    monkeypatch.setattr(Tableau, "apply", lambda self, g: calls.append(g) or apply(self, g))
+    run_schedule(build_schedule("horseshoe_lattice"), seed=0)
+    assert 0 < len(calls) <= 250
+
+
+def test_prepared_cells_hold_their_symbols():
+    """Fresh and re-prepared cells hold |0>, |1>, |+> or |->, whatever the
+    outcome of the reset of a measured cell."""
+    from qecc1wqc.pauli import PauliString
+
+    signs = {"0": "+Z", "1": "-Z", "+": "+X", "-": "-X"}
+    for seed in range(6):
+        lat = Lattice(2, 4).seed(seed)
+        lat.prepare([((0, 0), "+"), ((0, 3), "+")])
+        lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
+        cells = {(0, 1): "1", (0, 2): "-", (1, 0): "+", (1, 1): "1"}
+        lat.prepare(list(cells.items()))
+        for rc, sym in cells.items():
+            q = lat.qubit(rc)
+            label = ["I"] * lat.n
+            label[q] = signs[sym][1]
+            assert lat.tab.stabilizes(PauliString.from_label(signs[sym][0] + "".join(label)))
+            assert lat.frame.x_bit(q) == lat.frame.z_bit(q) == 0
+
+
+@pytest.mark.parametrize("forced,error,message", [
+    ([0, 5], ValueError, "must be 0 or 1, got 5"),
+    ([0], LatticeError, "forced has 1 outcomes for 2 interior cells"),
+], ids=["outcome_5", "short"])
+def test_distant_cz_checks_forced_before_acting(forced, error, message):
+    lat = Lattice(1, 4, {"u": (0, 0), "v": (0, 3)})
+    lat.prepare([((0, 0), "+"), ((0, 3), "+")])
+    with pytest.raises(error, match=message):
+        lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)], forced=forced)
+    assert lat.n == 2 and lat.active == {(0, 0), (0, 3)} and not lat.pending
+
+
+def test_measure_chain_checks_forced_length_before_measuring():
+    lat = Lattice(1, 4)
+    lat.prepare([((0, c), "+") for c in range(4)])
+    lat.global_cz("h")
+    chain = Chain((0, 0), (0, 3), [(0, 1), (0, 2)])
+    before = (lat.tab.x.tobytes(), lat.tab.z.tobytes(), lat.tab.ph.tobytes())
+    with pytest.raises(LatticeError, match="forced has 1 outcomes for 2 interior cells"):
+        lat.measure_chain(chain, forced=[1])
+    assert (lat.tab.x.tobytes(), lat.tab.z.tobytes(), lat.tab.ph.tobytes()) == before
+    assert len(lat.pending) == 3 and len(lat.active) == 4
+    assert len(lat.measure_chain(chain, forced=[1, 0])) == 2
+
+
+def test_reprepare_matches_reset_then_gates_cell_by_cell():
+    """Re-preparing measured cells draws each cell's reset in list order and
+    then applies the symbol gates: the same rows as resetting and rotating
+    one cell at a time."""
+    def measured_lattice():
+        lat = Lattice(1, 8).seed(11)
+        lat.prepare([((0, 0), "+"), ((0, 7), "+")])
+        lat.distant_cz((0, 0), (0, 7), [(0, c) for c in range(1, 7)])
+        return lat
+
+    cells = [((0, 4), "-"), ((0, 1), "1"), ((0, 6), "+"), ((0, 2), "0"), ((0, 3), "-")]
+    got = measured_lattice()
+    got.prepare(cells)
+    ref = measured_lattice()
+    gates = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
+    for rc, sym in cells:
+        q = ref.qubit(rc)
+        ref.tab.reset_to_zero(q, rng=ref._rng)
+        for kind in gates[sym]:
+            ref.tab.apply(Gate(kind, (q,)))
+    for a, b in ((got.tab.x, ref.tab.x), (got.tab.z, ref.tab.z), (got.tab.ph, ref.tab.ph)):
+        assert a.tobytes() == b.tobytes()
+    assert got._rng.bit_generator.state == ref._rng.bit_generator.state

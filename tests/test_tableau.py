@@ -413,3 +413,144 @@ def test_apply_rejects_out_of_range_target(n, gate):
     for got, want in ((t.x, before.x), (t.z, before.z), (t.ph, before.ph)):
         assert got.tobytes() == want.tobytes()
     assert t.generator_labels() == before.generator_labels()
+
+
+# -- one-pass layers, native X/Y measurement, born symbols -------------------------
+
+
+def _rows_bytes(t: Tableau) -> tuple[bytes, bytes, bytes]:
+    return t.x.tobytes(), t.z.tobytes(), t.ph.tobytes()
+
+
+def _measured_clifford_tableau(n, seed):
+    """A dense random stabilizer state with mixed phases: three rounds of n
+    random CZs and a random one-qubit gate on every qubit, then a few random
+    measurements so the destabilizers are generic too."""
+    rng = np.random.default_rng(seed)
+    t = Tableau.initialized(n, list(rng.choice(["0", "+"], size=n)))
+    for _ in range(3):
+        for _ in range(n):
+            t.apply(CZ(*(int(q) for q in rng.choice(n, size=2, replace=False))))
+        for q in range(n):
+            t.apply(Gate(str(rng.choice(_ONE_QUBIT)), (q,)))
+    for q in rng.choice(n, size=4, replace=False):
+        t.measure(int(q), str(rng.choice(["X", "Y", "Z"])), rng=rng)
+    return t
+
+
+@st.composite
+def cz_layers(draw):
+    """A stabilizer state on 60..130 qubits and a CZ pair list mixing pairs
+    inside one 64-qubit word, pairs across words and repeated qubits."""
+    n = draw(st.integers(60, 130))
+    qubit = st.integers(0, n - 1)
+    near = st.builds(lambda a, d: (a, (a + d) % n), qubit, st.integers(1, 3))
+    far = st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(st.one_of(near, far), max_size=150))
+    return n, draw(st.integers(0, 2**32 - 1)), pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cz_layers())
+def test_cz_layer_matches_per_pair_apply(case):
+    n, seed, pairs = case
+    t = _measured_clifford_tableau(n, seed)
+    ref = run_gates(t.copy(), [CZ(a, b) for a, b in pairs])
+    assert _rows_bytes(t.apply_cz_layer(pairs)) == _rows_bytes(ref)
+
+
+@pytest.mark.parametrize("pairs,message", [
+    ([(0, 1), (2, 70)], "out of range"), ([(3, -1)], "out of range"),
+    ([(0, 1), (4, 4)], "distinct")], ids=["past_n", "negative", "same_qubit"])
+def test_cz_layer_rejects_bad_pairs_before_any_change(pairs, message):
+    t = _measured_clifford_tableau(70, 5)
+    before = _rows_bytes(t)
+    with pytest.raises(ValueError, match=message):
+        t.apply_cz_layer(pairs)
+    assert _rows_bytes(t) == before
+
+
+def _conjugated_measure(t: Tableau, q: int, basis: str, rng, forced):
+    """X and Y measurement by rotating the basis to Z: H for X, S^dag then H
+    for Y, a Z measurement, and the inverse rotation."""
+    rotate = [H(q)] if basis == "X" else [Gate("SDG", (q,)), H(q)]
+    run_gates(t, rotate)
+    out = t.measure_z(q, rng=rng, forced=forced)
+    run_gates(t, [H(q)] if basis == "X" else [H(q), S(q)])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(60, 130), seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from("XY"),
+                                st.sampled_from([None, 0, 1])), min_size=1, max_size=12))
+def test_native_xy_measurement_matches_conjugated_reference(n, seed, steps):
+    """Outcome, deterministic flag, every row and the RNG state afterwards
+    agree with the rotated Z measurement, for random and forced outcomes."""
+    t = _measured_clifford_tableau(n, seed)
+    ref = t.copy()
+    rng_t, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for pick, basis, forced in steps:
+        q = pick % n
+        if forced is not None:
+            value, det = t.copy().measure(q, basis, rng=np.random.default_rng(0))
+            forced = value if det else forced
+        got = t.measure(q, basis, rng=rng_t, forced=forced)
+        assert got == _conjugated_measure(ref, q, basis, rng_ref, forced)
+        assert _rows_bytes(t) == _rows_bytes(ref)
+        assert rng_t.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_native_xy_measurement_applies_no_gate(monkeypatch):
+    t = _measured_clifford_tableau(70, 2)
+    monkeypatch.setattr(Tableau, "apply", lambda self, g: pytest.fail(f"applied {g}"))
+    for q in range(0, 70, 7):
+        t.measure_x(q, rng=np.random.default_rng(q))
+        t.measure_y(q + 1, rng=np.random.default_rng(q))
+
+
+_SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
+
+
+def _symbol_gates(qubits, symbols):
+    return [Gate(k, (q,)) for q, sym in zip(qubits, symbols) for k in _SYMBOL_GATES[sym]]
+
+
+@pytest.mark.parametrize("n", [1, 64, 130])
+def test_born_symbols_match_gate_preparation(n):
+    """``initialized``, ``add_qubits`` and ``apply_symbol_gates`` write the
+    rows that X and H, applied gate by gate, leave."""
+    rng = np.random.default_rng(n)
+    syms = [str(s) for s in rng.choice(list("01+-"), size=n)]
+    want = run_gates(Tableau.initialized(n), _symbol_gates(range(n), syms))
+    assert _rows_bytes(Tableau.initialized(n, syms)) == _rows_bytes(want)
+
+    grown = _measured_clifford_tableau(70, n)
+    ref = grown.copy()
+    assert grown.add_qubits(n, syms) == range(70, 70 + n)
+    ref.add_qubits(n)
+    run_gates(ref, _symbol_gates(range(70, 70 + n), syms))
+    assert _rows_bytes(grown) == _rows_bytes(ref)
+
+    qubits = [int(q) for q in rng.choice(70 + n, size=min(n, 40), replace=False)]
+    masked = grown.apply_symbol_gates(qubits, syms[:len(qubits)])
+    run_gates(ref, _symbol_gates(qubits, syms[:len(qubits)]))
+    assert _rows_bytes(masked) == _rows_bytes(ref)
+
+
+def test_unknown_init_symbol_rejected():
+    with pytest.raises(ValueError, match="unsupported init symbol 'y'"):
+        Tableau.initialized(2, "0y")
+
+
+@pytest.mark.parametrize("init,basis", [("+", "Z"), ("0", "Z"), ("0", "X"), ("+", "Y")],
+                         ids=["random_z", "deterministic_z", "random_x", "random_y"])
+@pytest.mark.parametrize("forced", [2, -1])
+def test_forced_outcome_outside_bits_rejected(init, basis, forced):
+    """A forced outcome must be 0 or 1; anything else raises before a row
+    changes (it used to write phase 4 or 2 * forced into the pivot row)."""
+    t = Tableau.initialized(1, [init])
+    before = _rows_bytes(t)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        t.measure(0, basis, forced=forced)
+    assert _rows_bytes(t) == before
