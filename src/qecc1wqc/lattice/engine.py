@@ -17,10 +17,10 @@ deterministic S^dag on both endpoints, and Z_u Z_v when the Y outcome is 1.
 
 Each step is as few tableau operations as the physics allows.  The CZs of
 a global layer commute, so a layer is one ``Tableau.apply_cz_layer`` call
-(a distant CZ path is another); a prepared cell gets its qubit already in
-its symbol, and the cells a step reuses are reset and then take their
-symbol gates in one masked pass; chain cells are measured in X and Y
-directly, without conjugating gates.
+(a distant CZ path is another); the cells a step prepares start in |0>,
+fresh or reset after a measurement, and take their symbol gates in one
+masked pass; chain cells are measured in X and Y directly, without
+conjugating gates.
 
 Every created edge is recorded, with the global layer that created it,
 until a chain consumes it.  A chain edge must have been created exactly
@@ -30,10 +30,10 @@ wrong state behind.
 
 The byproduct frame is one Pauli string over the tableau qubits and maps
 ideal = frame * actual, up to a global phase that nothing reads.  Every
-applied gate conjugates the frame (``pauli.conjugate_pauli``; a CZ layer
-by the same rule in one pass); measurements never change it but their raw
-outcomes are reinterpreted (X flips with the Z bit, Z with the X bit, Y
-with both).
+applied gate conjugates the frame (``pauli.conjugate_pauli``, and
+``pauli.conjugate_cz_layer`` for a CZ layer); measurements never change it
+but their raw outcomes are reinterpreted (X flips with the Z bit, Z with
+the X bit, Y with both).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit import Gate
-from ..pauli import PauliString, conjugate_pauli
+from ..pauli import PauliString, conjugate_cz_layer, conjugate_pauli
 from ..tableau import INIT_SYMBOLS, EntangledError, Tableau
 
 # Most cells one lattice may give a qubit (the largest named schedule uses
@@ -103,18 +103,6 @@ def _check_forced(forced: list[int] | None, k: int) -> None:
         raise LatticeError(f"forced outcomes must be 0 or 1, got {bad[0]!r}")
 
 
-def _conjugate_cz_layer(p: PauliString, pairs) -> PauliString:
-    """``p`` conjugated by CZ on every qubit pair: the bits that
-    ``conjugate_pauli`` gives pair by pair, in one pass (the CZ rule reads
-    only the X bits, which it never changes)."""
-    x, dz, flips = p.x, 0, 0
-    for a, b in pairs:
-        xa, xb = (x >> a) & 1, (x >> b) & 1
-        dz ^= (xb << a) | (xa << b)
-        flips += xa & xb
-    return PauliString(p.n, x, p.z ^ dz, p.phase + 2 * flips)
-
-
 def _alternating_parities(outcomes: list[int]) -> tuple[int, int]:
     """Z byproducts (near end, far end) of X-measured chain cells: the near
     end takes the outcomes at even positions 2, 4, ... counted from it, the
@@ -163,15 +151,15 @@ class Lattice:
         if not self._in_grid(rc):
             raise LatticeError(f"cell {tuple(rc)} outside the grid")
 
-    def _allocate(self, new: list[tuple[int, int]], symbols=None) -> None:
-        """Give each cell in ``new`` (distinct, without a qubit) a fresh
-        qubit in its symbol (default |0>), in one tableau resize."""
+    def _allocate(self, new: list[tuple[int, int]]) -> None:
+        """Give each cell in ``new`` (distinct, without a qubit) a fresh |0>
+        qubit, in one tableau resize."""
         if not new:
             return
         if self.n + len(new) > MAX_CELLS:
             raise LatticeError(
                 f"lattice would use {self.n + len(new)} cells; the limit is {MAX_CELLS}")
-        for rc, q in zip(new, self.tab.add_qubits(len(new), symbols)):
+        for rc, q in zip(new, self.tab.add_qubits(len(new))):
             self._qubits[rc] = q
             self.cells.append(rc)
         f = self.frame
@@ -207,9 +195,8 @@ class Lattice:
 
         Re-preparing a cell that is still active (entangled or not) is an
         error; only fresh or measured-and-released cells may be prepared.
-        Fresh cells get a qubit already in their symbol; a measured cell is
-        reset to |0>, and the symbol gates of all reused cells are then
-        applied in one pass.
+        Fresh cells get a |0> qubit and measured cells are reset to |0>;
+        then the symbol gates of all the cells are applied in one pass.
         """
         cells = [(tuple(rc), sym) for rc, sym in cells]
         seen = set()
@@ -220,13 +207,12 @@ class Lattice:
             if str(sym) not in INIT_SYMBOLS:
                 raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
             seen.add(rc)
-        fresh = [(rc, str(sym)) for rc, sym in cells if rc not in self._qubits]
-        reused = [(self._qubits[rc], str(sym)) for rc, sym in cells if rc in self._qubits]
-        self._allocate([rc for rc, _ in fresh], [sym for _, sym in fresh])
+        self._allocate([rc for rc, _ in cells if rc not in self._qubits])
         for rc, _ in cells:
             if rc in self.ever_measured:
                 self.tab.reset_to_zero(self._qubits[rc], rng=self._rng)
-        self.tab.apply_symbol_gates([q for q, _ in reused], [sym for _, sym in reused])
+        self.tab.apply_symbol_gates([self._qubits[rc] for rc, _ in cells],
+                                    [sym for _, sym in cells])
         for rc, _ in cells:
             self.active.add(rc)
             self._clear_frame(self._qubits[rc])
@@ -247,7 +233,7 @@ class Lattice:
         each edge is recorded as created by ``layer``."""
         qubit_pairs = [(self.qubit(a), self.qubit(b)) for a, b in pairs]
         self.tab.apply_cz_layer(qubit_pairs)
-        self.frame = _conjugate_cz_layer(self.frame, qubit_pairs)
+        self.frame = conjugate_cz_layer(self.frame, qubit_pairs)
         for a, b in pairs:
             self.pending.setdefault(_edge(a, b), []).append(layer)
 

@@ -164,6 +164,21 @@ def _clifford_angle_index(xi: float) -> int:
     return r % 4
 
 
+def conjugate_cz_layer(p: PauliString, pairs) -> PauliString:
+    """Return ``p`` conjugated by CZ on every qubit pair (a, b) in ``pairs``.
+
+    CZ maps X_a to X_a Z_b and reads only X bits, which it never changes,
+    so the CZs of a list commute: z_a ^= x_b, z_b ^= x_a and the phase
+    gains 2 x_a x_b per pair, in any order.
+    """
+    x, z, phase = p.x, p.z, p.phase
+    for a, b in pairs:
+        xa, xb = (x >> a) & 1, (x >> b) & 1
+        z ^= (xb << a) | (xa << b)
+        phase += 2 * (xa & xb)
+    return PauliString(p.n, x, z, phase % 4)
+
+
 def conjugate_pauli(p: PauliString, gate) -> PauliString:
     """Return g p g^dagger for a Clifford gate ``g`` (a circuit.Gate)."""
     kind = gate.kind
@@ -177,11 +192,7 @@ def conjugate_pauli(p: PauliString, gate) -> PauliString:
         return p
 
     if kind == "CZ":
-        a, b = gate.targets
-        xa, xb = (x >> a) & 1, (x >> b) & 1
-        z ^= (xb << a) | (xa << b)
-        phase += 2 * (xa & xb)
-        return PauliString(p.n, x, z, phase % 4)
+        return conjugate_cz_layer(p, (gate.targets,))
 
     (t,) = gate.targets
     xt, zt = (x >> t) & 1, (z >> t) & 1

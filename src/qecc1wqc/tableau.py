@@ -94,32 +94,21 @@ class Tableau:
     @classmethod
     def initialized(cls, n: int, assignment=None) -> "Tableau":
         """Product state; per-qubit symbols in {'0', '1', '+', '-'} (default
-        all '0')."""
+        all '0'), prepared by :meth:`apply_symbol_gates` on |0...0>."""
         t = cls(0, np.zeros((0, 0), dtype=np.uint64), np.zeros((0, 0), dtype=np.uint64),
                 np.zeros(0, dtype=np.uint8))
-        t.add_qubits(n, assignment)
+        t.add_qubits(n)
+        if assignment is not None:
+            if len(assignment) != n:
+                raise ValueError("assignment length must equal qubit count")
+            t.apply_symbol_gates(range(n), assignment)
         return t
 
     def copy(self) -> "Tableau":
         return Tableau(self.n, self.x.copy(), self.z.copy(), self.ph.copy())
 
-    def add_qubits(self, k: int, assignment=None) -> range:
-        """Append k qubits in the product state ``assignment`` (symbols as
-        for :meth:`initialized`, default all '0'); returns their indices.
-
-        A qubit in |0> or |1> gets destabilizer X_q and stabilizer Z_q, one
-        in |+> or |-> destabilizer Z_q and stabilizer X_q; '1' and '-' put
-        phase 2 on the stabilizer.  These are the rows that X and H, applied
-        to |0>, would leave.
-        """
-        if assignment is None:
-            assignment = "0" * k
-        symbols = [str(sym) for sym in assignment]
-        if len(symbols) != k:
-            raise ValueError("assignment length must equal qubit count")
-        for sym in symbols:
-            if sym not in INIT_SYMBOLS:
-                raise ValueError(f"unsupported init symbol {sym!r}")
+    def add_qubits(self, k: int) -> range:
+        """Append k qubits in |0>; returns their indices."""
         n, m = self.n, self.n + k
         w_old, w = self.x.shape[1], _words(m)
         grown = []
@@ -132,16 +121,13 @@ class Tableau:
         ph = np.zeros(2 * m, dtype=np.uint8)
         ph[:n] = self.ph[:n]
         ph[m:m + n] = self.ph[n:]
-        added = np.arange(n, m)
-        word, bit = added >> 6, np.uint64(1) << (added & 63).astype(np.uint64)
-        in_x = np.array([sym in "+-" for sym in symbols], dtype=bool)
-        # destabilizer row q and stabilizer row m + q each get one bit
-        for d_block, s_block, sel in ((x, z, ~in_x), (z, x, in_x)):
-            d_block[added[sel], word[sel]] = bit[sel]
-            s_block[m + added[sel], word[sel]] = bit[sel]
-        ph[m + added] = [2 * (sym in "1-") for sym in symbols]
+        added = range(n, m)
+        for q in added:
+            word, bit = q >> 6, np.uint64(1 << (q & 63))
+            x[q, word] = bit          # destabilizer X_q
+            z[m + q, word] = bit      # stabilizer   Z_q
         self.n, self.x, self.z, self.ph = m, x, z, ph
-        return range(n, m)
+        return added
 
     def with_paulis(self, x_qubits, z_qubits) -> "Tableau":
         """This state with X on ``x_qubits`` and Z on ``z_qubits`` applied.
@@ -230,40 +216,40 @@ class Tableau:
 
         CZ leaves the X block alone and its update reads only X, so the CZs
         of a list commute: z_a ^= x_b, z_b ^= x_a and the phase gains
-        2 x_a x_b per pair, in any order.  The update works on unpacked bit
-        columns, so targets that share a word cannot overwrite each other.
+        2 x_a x_b per pair, in any order.  The pass reads and writes only
+        the bytes that hold paired qubits (on a little-endian host, bit q of
+        a row is bit q % 8 of its byte q // 8); the writes are XOR-reduced
+        per target byte, so targets that share a byte cannot overwrite each
+        other.
         """
-        # one write z_t ^= x_s per (t, s) in (a, b) and (b, a); a qubit in
-        # several pairs takes the XOR of its partners, written one round of
-        # distinct targets at a time
-        rounds: list[list[tuple[int, int]]] = []
-        seen: dict[int, int] = {}
         for a, b in pairs:
             for t in (a, b):
                 if not 0 <= t < self.n:
                     raise ValueError(f"gate target {t} out of range")
             if a == b:
                 raise ValueError(f"CZ needs two distinct qubits, got {a} twice")
-            for t, s in ((a, b), (b, a)):
-                r = seen[t] = seen.get(t, -1) + 1
-                if r == len(rounds):
-                    rounds.append([])
-                rounds[r].append((t, s))
-        if not rounds:
+        if not pairs:
             return self
-        xbits = _unpack_bits(self.x, self.n)
-        a, b = np.array(pairs).T
-        self.ph ^= np.bitwise_xor.reduce(xbits[:, a] & xbits[:, b], axis=1) << 1
-        flips = np.zeros_like(xbits)
-        for writes in rounds:
-            t, s = np.array(writes).T
-            flips[:, t] ^= xbits[:, s]
-        self.z ^= _pack_bits(flips)
+        a, b = np.array(pairs, dtype=np.int64).T
+        x8 = self.x.view(np.uint8)
+        xa = (x8[:, a >> 3] >> (a & 7).astype(np.uint8)) & 1
+        xb = (x8[:, b >> 3] >> (b & 7).astype(np.uint8)) & 1
+        self.ph ^= np.bitwise_xor.reduce(xa & xb, axis=1) << 1
+        # z_a ^= x_b and z_b ^= x_a, as shifted bits grouped by target byte
+        t = np.concatenate([a, b])
+        order = np.argsort(t >> 3, kind="stable")
+        t = t[order]
+        writes = np.concatenate([xb, xa], axis=1)[:, order] << (t & 7).astype(np.uint8)
+        cols, starts = np.unique(t >> 3, return_index=True)
+        self.z.view(np.uint8)[:, cols] ^= np.bitwise_xor.reduceat(writes, starts, axis=1)
         return self
 
     def apply_symbol_gates(self, qubits, symbols) -> "Tableau":
         """The gates that take |0> to each symbol ('1': X, '+': H, '-': X
         then H) on every qubit at once, as masked column updates."""
+        qubits, symbols = list(qubits), [str(sym) for sym in symbols]
+        if len(symbols) != len(qubits):
+            raise ValueError("one symbol per qubit")
         for sym in symbols:
             if sym not in INIT_SYMBOLS:
                 raise ValueError(f"unsupported init symbol {sym!r}")

@@ -517,24 +517,22 @@ def _symbol_gates(qubits, symbols):
 
 
 @pytest.mark.parametrize("n", [1, 64, 130])
-def test_born_symbols_match_gate_preparation(n):
-    """``initialized``, ``add_qubits`` and ``apply_symbol_gates`` write the
-    rows that X and H, applied gate by gate, leave."""
+def test_symbol_preparation_matches_gates(n):
+    """``initialized`` and ``apply_symbol_gates`` write the rows that X and
+    H, applied gate by gate, leave."""
     rng = np.random.default_rng(n)
     syms = [str(s) for s in rng.choice(list("01+-"), size=n)]
     want = run_gates(Tableau.initialized(n), _symbol_gates(range(n), syms))
     assert _rows_bytes(Tableau.initialized(n, syms)) == _rows_bytes(want)
 
-    grown = _measured_clifford_tableau(70, n)
-    ref = grown.copy()
-    assert grown.add_qubits(n, syms) == range(70, 70 + n)
-    ref.add_qubits(n)
-    run_gates(ref, _symbol_gates(range(70, 70 + n), syms))
-    assert _rows_bytes(grown) == _rows_bytes(ref)
-
+    t = _measured_clifford_tableau(70, n)
+    t.add_qubits(n)
+    ref = t.copy()
     qubits = [int(q) for q in rng.choice(70 + n, size=min(n, 40), replace=False)]
-    masked = grown.apply_symbol_gates(qubits, syms[:len(qubits)])
-    run_gates(ref, _symbol_gates(qubits, syms[:len(qubits)]))
+    qubits += [q for q in range(70, 70 + n) if q not in qubits]
+    mixed = [str(s) for s in rng.choice(list("01+-"), size=len(qubits))]
+    masked = t.apply_symbol_gates(qubits, mixed)
+    run_gates(ref, _symbol_gates(qubits, mixed))
     assert _rows_bytes(masked) == _rows_bytes(ref)
 
 
