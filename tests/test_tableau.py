@@ -541,6 +541,13 @@ def test_unknown_init_symbol_rejected():
         Tableau.initialized(2, "0y")
 
 
+def test_symbol_count_must_match_qubits():
+    with pytest.raises(ValueError, match="assignment length"):
+        Tableau.initialized(3, "0+")
+    with pytest.raises(ValueError, match="one symbol per qubit"):
+        Tableau.initialized(3).apply_symbol_gates([0, 1], "+")
+
+
 @pytest.mark.parametrize("init,basis", [("+", "Z"), ("0", "Z"), ("0", "X"), ("+", "Y")],
                          ids=["random_z", "deterministic_z", "random_x", "random_y"])
 @pytest.mark.parametrize("forced", [2, -1])
