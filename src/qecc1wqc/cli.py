@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -188,7 +189,10 @@ def cmd_lattice(args) -> int:
     return _emit(args, payload, ok)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; every ``parse_args``
+    call still returns a fresh namespace."""
     common = _global_options()
     parser = argparse.ArgumentParser(
         prog="qecc1wqc", parents=[common],

@@ -16,6 +16,16 @@ measured basis itself: a random outcome replaces the pivot stabilizer with
 +/-X_q, +/-Y_q or +/-Z_q, a deterministic outcome is read off by
 multiplying the stabilizer partners of the anticommuting destabilizers.
 
+The same product decides membership without elimination.  Destabilizer i
+anticommutes with stabilizer i and commutes with every other generator, so
+a Pauli P in the stabilizer group is the product of the stabilizers whose
+destabilizer partners anticommute with P.  That product always lies in the
+group, so P, sign included, is in the group exactly when the product equals
+it (:meth:`Tableau.stabilizes`); a qubit is unentangled exactly when the
+product for X_q, Y_q or Z_q equals it up to sign.  Row-reduced echelon form
+(:meth:`Tableau.canonical_stabilizers`) is kept for what needs a unique
+generator list: group equality, extracting a subsystem, and diagnostics.
+
 Every distinct numpy kernel maps more of numpy's code into memory the first
 time it runs, so tests for zero and equality reuse ``count_nonzero``,
 ``flatnonzero`` and byte comparison rather than adding comparison ufuncs.
@@ -65,8 +75,15 @@ def _unpack_bits(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=m, bitorder="little")
 
 
+def _check_qubits(n: int, qubits) -> None:
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
+
+
 def _qubit_mask(n: int, qubits) -> np.ndarray:
     """Packed row, ceil(n/64) words, with the bits of ``qubits`` set."""
+    _check_qubits(n, qubits)
     bits = np.zeros((1, n), dtype=np.uint8)
     bits[0, list(qubits)] = 1
     return _pack_bits(bits)[0]
@@ -74,6 +91,11 @@ def _qubit_mask(n: int, qubits) -> np.ndarray:
 
 def _row_int(row: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(row, dtype="<u8").tobytes(), "little")
+
+
+def _int_row(v: int, w: int) -> np.ndarray:
+    """Inverse of :func:`_row_int`: a Python bitmask as w packed words."""
+    return np.frombuffer(v.to_bytes(8 * w, "little"), dtype="<u8").astype(np.uint64)
 
 
 def _sign_flips(zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -250,6 +272,7 @@ class Tableau:
         qubits, symbols = list(qubits), [str(sym) for sym in symbols]
         if len(symbols) != len(qubits):
             raise ValueError("one symbol per qubit")
+        _check_qubits(self.n, qubits)
         for sym in symbols:
             if sym not in INIT_SYMBOLS:
                 raise ValueError(f"unsupported init symbol {sym!r}")
@@ -267,6 +290,28 @@ class Tableau:
 
     # -- measurement ------------------------------------------------------------
 
+    def _partner_product(self, destabilizers: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Packed (x, z, phase) of the product, in row order, of the
+        stabilizer partners of the destabilizer rows ``destabilizers``.
+
+        The k-th factor picks up the sign of moving its X part past the Z
+        parts of the factors before it.  For the destabilizers that
+        anticommute with a Pauli P, the product is the element of the
+        stabilizer group that equals P if P is in the group at all.
+        """
+        rows = destabilizers + self.n
+        xs, zs = self.x[rows], self.z[rows]
+        before = np.bitwise_xor.accumulate(zs, axis=0)[:-1]
+        phase = (int(self.ph[rows].sum(dtype=np.int64))
+                 + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))) % 4
+        return np.bitwise_xor.reduce(xs, axis=0), np.bitwise_xor.reduce(zs, axis=0), phase
+
+    def _single_qubit_rows(self, q: int, px: bool, pz: bool) -> bytes:
+        """Bytes of the packed x then z rows of X_q^px Z_q^pz."""
+        want = np.zeros((2, self.x.shape[1]), dtype=np.uint64)
+        want[:, q >> 6] = px << (q & 63), pz << (q & 63)
+        return want.tobytes()
+
     def _measure(self, q: int, basis: str, rng, forced: int | None):
         """Measure the Pauli ``basis`` (X, Y or Z) on qubit q.
 
@@ -276,9 +321,11 @@ class Tableau:
         Y = i XZ); a deterministic outcome is read off the product of the
         stabilizer partners of the anticommuting destabilizers.
         """
+        n = self.n
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
         if forced is not None and forced not in (0, 1):
             raise ValueError(f"forced outcome must be 0 or 1, got {forced!r}")
-        n = self.n
         w, bit = q >> 6, np.uint64(1 << (q & 63))
         px, pz = basis in "XY", basis in "ZY"
         col = self.x[:, w] if basis == "Z" else self.z[:, w]
@@ -309,21 +356,9 @@ class Tableau:
             self.ph[pivot] = 2 * outcome + (px and pz)
             return outcome, False
 
-        # deterministic: multiply the stabilizer partners of the anticommuting
-        # destabilizers in row order; the k-th factor picks up the sign of
-        # moving its X part past the Z parts of the factors before it
-        rows = anti.nonzero()[0] + n
-        xs, zs = self.x[rows], self.z[rows]
-        before = np.bitwise_xor.accumulate(zs, axis=0)[:-1]
-        sp = (int(self.ph[rows].sum(dtype=np.int64))
-              + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))
-              - (px and pz)) % 4
-        want_x = np.zeros(self.x.shape[1], dtype=np.uint64)
-        want_z = want_x.copy()
-        want_x[w], want_z[w] = px * bit, pz * bit
-        if (np.bitwise_xor.reduce(xs, axis=0).tobytes() != want_x.tobytes()
-                or np.bitwise_xor.reduce(zs, axis=0).tobytes() != want_z.tobytes()
-                or sp % 2 != 0):
+        x, z, phase = self._partner_product(anti.nonzero()[0])
+        sp = (phase - (px and pz)) % 4
+        if x.tobytes() + z.tobytes() != self._single_qubit_rows(q, px, pz) or sp % 2:
             raise AssertionError(
                 f"deterministic measurement did not reduce to +/-{basis}")
         outcome = sp // 2
@@ -412,9 +447,10 @@ class Tableau:
         """
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"repeated qubit in {qubits}")
+        mask = _qubit_mask(self.n, qubits)
         x, z, ph = self._canonical_rows()
         support = x | z
-        inside = support & _qubit_mask(self.n, qubits)
+        inside = support & mask
         touching = np.flatnonzero(np.bitwise_or.reduce(inside, axis=1))
         stray = np.bitwise_or.reduce(support[touching] ^ inside[touching], axis=0)
         if np.count_nonzero(stray):
@@ -438,33 +474,29 @@ class Tableau:
         return None
 
     def stabilizes(self, p: PauliString) -> bool:
-        """Is the signed Pauli ``p`` in the stabilizer group?"""
-        from .pauli import compose_pauli
-
-        cur = p
-        for row in self.canonical_stabilizers():
-            lead = None
-            for col in range(2 * self.n):
-                kind, q = divmod(col, self.n)
-                vec = row.x if kind == 0 else row.z
-                if (vec >> q) & 1:
-                    lead = (kind, q)
-                    break
-            if lead is None:
-                continue
-            kind, q = lead
-            vec = cur.x if kind == 0 else cur.z
-            if (vec >> q) & 1:
-                cur = compose_pauli(cur, row)
-        return cur.x == 0 and cur.z == 0 and cur.phase == 0
+        """Is the signed Pauli ``p`` in the stabilizer group?  It is exactly
+        when the product of the stabilizers whose destabilizers anticommute
+        with ``p`` equals ``p``, phase included."""
+        if p.n != self.n:
+            raise ValueError(f"Pauli on {p.n} qubits for a {self.n}-qubit tableau")
+        n, w = self.n, self.x.shape[1]
+        px, pz = _int_row(p.x, w), _int_row(p.z, w)
+        anti = np.flatnonzero(_sign_flips(self.x[:n], pz) ^ _sign_flips(self.z[:n], px))
+        x, z, phase = self._partner_product(anti)
+        return (phase == p.phase and x.tobytes() == px.tobytes()
+                and z.tobytes() == pz.tobytes())
 
     def is_disentangled(self, q: int) -> bool:
-        """True when qubit q is in a product state with the rest."""
-        x, z, _ = self._canonical_rows()
-        support = x | z
-        touching = np.flatnonzero((support[:, q >> 6] >> (q & 63)) & 1)
-        return (touching.size == 1
-                and int(np.bitwise_count(support[touching[0]]).sum()) == 1)
+        """True when qubit q is in a product state with the rest: X_q, Y_q
+        or Z_q is in the stabilizer group, up to sign."""
+        _check_qubits(self.n, [q])
+        n, w, s = self.n, q >> 6, q & 63
+        xq, zq = (self.x[:n, w] >> s) & 1, (self.z[:n, w] >> s) & 1
+        for anti, px, pz in ((zq, True, False), (xq ^ zq, True, True), (xq, False, True)):
+            x, z, _ = self._partner_product(np.flatnonzero(anti))
+            if x.tobytes() + z.tobytes() == self._single_qubit_rows(q, px, pz):
+                return True
+        return False
 
 
 def run_gates(t: Tableau, gates) -> Tableau:

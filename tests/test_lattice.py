@@ -13,8 +13,9 @@ from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
+from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
-from qecc1wqc.tableau import Tableau
+from qecc1wqc.tableau import EntangledError, Tableau, run_gates
 
 
 # -- engine basics ------------------------------------------------------------------
@@ -529,3 +530,115 @@ def test_reprepare_matches_reset_then_gates_cell_by_cell():
     for a, b in ((got.tab.x, ref.tab.x), (got.tab.z, ref.tab.z), (got.tab.ph, ref.tab.ph)):
         assert a.tobytes() == b.tobytes()
     assert got._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+
+# -- membership verdict ------------------------------------------------------------
+
+
+def _random_gates(rng, qubits, count):
+    qubits = list(qubits)
+    gates = []
+    for _ in range(count):
+        if len(qubits) > 1 and rng.random() < 0.4:
+            gates.append(CZ(*(int(q) for q in rng.choice(qubits, size=2, replace=False))))
+        else:
+            kind = str(rng.choice(["H", "S", "SDG", "X", "Y", "Z"]))
+            gates.append(Gate(kind, (int(rng.choice(qubits)),)))
+    return gates
+
+
+@st.composite
+def data_registers(draw):
+    """A random stabilizer state on 2..130 qubits whose data register (a
+    random subset, in random order) is prepared apart from the rest and,
+    in some cases, then entangled with it; and a target that is the data
+    register's own state, that state with one sign flipped, or that state
+    with one generator replaced by a random single-qubit measurement."""
+    n = draw(st.integers(2, 130))
+    m = draw(st.integers(1, min(n - 1, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = [int(q) for q in rng.permutation(n)]
+    data, rest = perm[:m], perm[m:]
+    syms = [str(s) for s in rng.choice(list("01+-"), size=n)]
+    local = _random_gates(rng, range(m), 3 * m)
+    target = run_gates(Tableau.initialized(m, [syms[q] for q in data]), local)
+    state = run_gates(Tableau.initialized(n, syms),
+                      [Gate(g.kind, tuple(data[t] for t in g.targets)) for g in local]
+                      + _random_gates(rng, rest, 3 * len(rest)))
+    entangled = draw(st.booleans())
+    if entangled:
+        for _ in range(int(rng.integers(1, 4))):
+            state.apply(CZ(int(rng.choice(data)), int(rng.choice(rest))))
+    kind = draw(st.sampled_from(["true", "sign", "replaced"]))
+    if kind == "sign":
+        target.ph[m + int(rng.integers(0, m))] ^= 2
+    elif kind == "replaced":
+        q = int(rng.integers(0, m))
+        if target.measure_x(q, rng=rng)[1]:
+            target.measure_z(q, rng=rng)
+    return state, data, target, kind == "true" and not entangled
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=data_registers())
+def test_membership_verdict_matches_elimination(case):
+    """The membership verdict equals extracting the data register by row
+    reduction and comparing its canonical generators with the target's."""
+    state, data, target, holds = case
+    try:
+        eliminated = state.restricted(data).stab_equal(target)
+    except EntangledError:
+        eliminated = False
+    assert data_register_holds(state, data, target) == eliminated
+    if holds:
+        assert eliminated
+
+
+def test_membership_verdict_needs_one_distinct_qubit_per_target_qubit():
+    state = Tableau.initialized(3, "+++")
+    plus = Tableau.initialized(2, "++")
+    assert data_register_holds(state, [0, 2], plus)
+    assert not data_register_holds(state, [0, 0], plus)
+    assert not data_register_holds(state, [0, 1, 2], plus)
+
+
+def test_shared_cell_diagnostic():
+    """Two labels on one cell fail with the generator-count diagnostic."""
+    lat = Lattice(1, 2, {"a": (0, 0), "b": (0, 0)})
+    lat.prepare([((0, 0), "+"), ((0, 1), "+")])
+    res = verify_lattice_against(lat, Tableau.initialized(2, "++"), ["a", "b"], "shared")
+    assert not res.ok
+    assert res.diagnostic == "expected 2 data generators, found 1"
+
+
+def test_wrong_sign_target_diagnostic():
+    """A target with one sign flipped fails with the first differing
+    canonical generator."""
+    lat = Lattice(1, 2, {"a": (0, 0), "b": (0, 1)})
+    lat.prepare([((0, 0), "+"), ((0, 1), "+")])
+    lat.global_cz("horizontal")
+    target = _expected_cz_tableau().apply(Gate("Z", (1,)))
+    res = verify_lattice_against(lat, target, ["a", "b"], "row")
+    assert not res.ok
+    assert res.diagnostic == "+ZX != -ZX"
+
+
+def test_verification_runs_no_elimination(monkeypatch):
+    """A successful verification decides by membership alone: no row
+    reduction for the named schedules and both hop modes (21 per benchmark
+    operation when the data register was extracted and compared)."""
+    calls = []
+    reduce_rows = Tableau._canonical_rows
+    monkeypatch.setattr(Tableau, "_canonical_rows",
+                        lambda self: calls.append(self.n) or reduce_rows(self))
+    for name in ("E1_lattice", "E2_lattice", "GHZ6_lattice", "LP_full", "horseshoe_lattice"):
+        assert verify_schedule(name, seed=0).ok
+    for mode in ("simultaneous", "sequential"):
+        assert run_hop(mode, seed=0).verified
+    assert calls == []
+    lat = Lattice(1, 3, {"a": (0, 0), "b": (0, 2)})
+    lat.prepare([((0, c), "+") for c in range(3)])
+    lat.global_cz("horizontal")
+    assert not verify_lattice_against(lat, _expected_cz_tableau(), ["a", "b"], "row").ok
+    assert calls == [3]

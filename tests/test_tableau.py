@@ -486,7 +486,8 @@ def _conjugated_measure(t: Tableau, q: int, basis: str, rng, forced):
                                 st.sampled_from([None, 0, 1])), min_size=1, max_size=12))
 def test_native_xy_measurement_matches_conjugated_reference(n, seed, steps):
     """Outcome, deterministic flag, every row and the RNG state afterwards
-    agree with the rotated Z measurement, for random and forced outcomes."""
+    agree with the rotated Z measurement, for random and forced outcomes and
+    for the deterministic repeat of each measurement."""
     t = _measured_clifford_tableau(n, seed)
     ref = t.copy()
     rng_t, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -499,6 +500,11 @@ def test_native_xy_measurement_matches_conjugated_reference(n, seed, steps):
         assert got == _conjugated_measure(ref, q, basis, rng_ref, forced)
         assert _rows_bytes(t) == _rows_bytes(ref)
         assert rng_t.bit_generator.state == rng_ref.bit_generator.state
+        # measuring again is deterministic, repeats the outcome, keeps the rows
+        rows = _rows_bytes(t)
+        again = t.measure(q, basis, rng=rng_t)
+        assert again == (got[0], True) == _conjugated_measure(ref, q, basis, rng_ref, None)
+        assert _rows_bytes(t) == rows == _rows_bytes(ref)
 
 
 def test_native_xy_measurement_applies_no_gate(monkeypatch):
@@ -559,3 +565,118 @@ def test_forced_outcome_outside_bits_rejected(init, basis, forced):
     with pytest.raises(ValueError, match="must be 0 or 1"):
         t.measure(0, basis, forced=forced)
     assert _rows_bytes(t) == before
+
+
+# -- qubit range checks --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [5, 3, -1], ids=["past_n", "n", "negative"])
+@pytest.mark.parametrize("basis", ["Z", "X", "Y"])
+def test_measure_rejects_out_of_range_qubit(q, basis):
+    """It used to fail with 'deterministic measurement did not reduce to
+    +/-Z', or read the padding bits of the last word."""
+    t = Tableau.initialized(3, "+00")
+    before = _rows_bytes(t)
+    with pytest.raises(ValueError, match=f"qubit {q} out of range"):
+        t.measure(q, basis, rng=np.random.default_rng(0))
+    assert _rows_bytes(t) == before
+
+
+@pytest.mark.parametrize("qubits", [[-1], [0, 5]], ids=["negative", "past_n"])
+def test_restricted_rejects_out_of_range_qubit(qubits):
+    """``restricted([-1])`` used to return the state of qubit 2."""
+    with pytest.raises(ValueError, match="out of range"):
+        Tableau.initialized(3, "+00").restricted(qubits)
+
+
+@pytest.mark.parametrize("q", [7, -1])
+def test_is_disentangled_rejects_out_of_range_qubit(q):
+    with pytest.raises(ValueError, match="out of range"):
+        Tableau.initialized(3, "+00").is_disentangled(q)
+
+
+@pytest.mark.parametrize("qubits,symbols", [([9], ["+"]), ([1, 3], ["0", "0"]), ([-1], ["1"])],
+                         ids=["past_n", "identity_symbol", "negative"])
+def test_symbol_gates_reject_out_of_range_qubit(qubits, symbols):
+    t = Tableau.initialized(3, "+00")
+    before = _rows_bytes(t)
+    with pytest.raises(ValueError, match="out of range"):
+        t.apply_symbol_gates(qubits, symbols)
+    assert _rows_bytes(t) == before
+
+
+@pytest.mark.parametrize("x_qubits,z_qubits", [([5], []), ([], [-1])], ids=["x_past_n", "z_negative"])
+def test_with_paulis_rejects_out_of_range_qubit(x_qubits, z_qubits):
+    with pytest.raises(ValueError, match="out of range"):
+        Tableau.initialized(3, "+00").with_paulis(x_qubits, z_qubits)
+
+
+@pytest.mark.parametrize("label", ["+IIIZ", "+XI"], ids=["wider", "narrower"])
+def test_stabilizes_rejects_wrong_width(label):
+    with pytest.raises(ValueError, match="3-qubit tableau"):
+        Tableau.initialized(3, "+00").stabilizes(PauliString.from_label(label))
+
+
+# -- membership by destabilizer product ----------------------------------------------
+
+
+def _reference_stabilizes(t: Tableau, p: PauliString) -> bool:
+    """Reduce ``p`` by the reference echelon rows, leading bit by leading
+    bit; it is in the group when the remainder is +I."""
+    cur = p
+    for row in _reference_canonical(t.stabilizer_rows()):
+        for block in ("x", "z"):
+            bits = getattr(row, block)
+            if bits:
+                if (getattr(cur, block) >> ((bits & -bits).bit_length() - 1)) & 1:
+                    cur = compose_pauli(cur, row)
+                break
+    return cur.is_identity()
+
+
+@st.composite
+def states_and_paulis(draw):
+    """A random stabilizer state on 2..130 qubits (some qubits measured last,
+    so some are unentangled), and a Pauli that is a product of stabilizer
+    rows, that product with its sign flipped or one bit flipped, or random."""
+    n = draw(st.integers(2, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = _random_clifford_tableau(n, rng, gates=3 * n)
+    for q in rng.choice(n, size=min(n, 4), replace=False):
+        t.measure(int(q), str(rng.choice(["X", "Y", "Z"])), rng=rng)
+    p = PauliString.identity(n)
+    for row in t.stabilizer_rows():
+        if rng.random() < 0.5:
+            p = compose_pauli(p, row)
+    kind = draw(st.sampled_from(["member", "sign", "bit", "random"]))
+    if kind == "sign":
+        p = PauliString(n, p.x, p.z, p.phase + 2)
+    elif kind == "bit":
+        q = int(rng.integers(0, n))
+        p = PauliString(n, p.x ^ (1 << q), p.z, p.phase)
+    elif kind == "random":
+        bits = st.integers(0, 2**n - 1)
+        p = PauliString(n, draw(bits), draw(bits), draw(st.integers(0, 3)))
+    return t, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=states_and_paulis())
+def test_stabilizes_matches_reference_reduction(case):
+    t, p = case
+    before = _rows_bytes(t)
+    assert t.stabilizes(p) == _reference_stabilizes(t, p)
+    assert _rows_bytes(t) == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=states_and_paulis(), data=st.data())
+def test_is_disentangled_matches_restriction(case, data):
+    t, _ = case
+    for q in data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=6)):
+        try:
+            t.restricted([q])
+            split = True
+        except EntangledError:
+            split = False
+        assert t.is_disentangled(q) == split, q
