@@ -48,10 +48,30 @@ def _emit(args, payload: dict, ok: bool, stdout: str | None = None) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so that ``main`` reports
+    them as JSON like any other bad input; ``-h`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds with non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _global_options() -> argparse.ArgumentParser:
     """Shared flags, accepted both before and after the subcommand."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     common.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS,
                         help="write the JSON report to PATH")
     common.add_argument("--quiet", action="store_true",
@@ -179,11 +199,11 @@ def cmd_lattice(args) -> int:
 
     sched = load_schedule(args.schedule)
     lat = run_schedule(sched, seed=args.seed)
-    payload = {"name": sched["name"], "counts": lat.counts}
+    payload = {"name": sched.name, "counts": lat.counts}
     ok = True
     if args.verify:
-        target, order = target_tableau(sched["name"])
-        res = verify_lattice_against(lat, target, order, sched["name"])
+        target, order = target_tableau(sched.name)
+        res = verify_lattice_against(lat, target, order, sched.name)
         payload["verify"] = res
         ok = res.ok
     return _emit(args, payload, ok)
@@ -194,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; every ``parse_args``
     call still returns a fresh namespace."""
     common = _global_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qecc1wqc", parents=[common],
         description="Error-corrected one-way quantum computation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for name, fallback in (("seed", 0), ("json", None), ("quiet", False)):
-        if not hasattr(args, name):
-            setattr(args, name, fallback)
+    # the shared flags default to SUPPRESS, so these fallbacks survive
+    # unless a flag is given, before or after the subcommand
+    args = argparse.Namespace(seed=0, json=None, quiet=False)
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.func(args)
-    except ValueError as exc:  # bad input the library rejected
+    except ValueError as exc:  # a usage error, or bad input the library rejected
         _emit(args, {"error": str(exc)}, False)
         return 2
 

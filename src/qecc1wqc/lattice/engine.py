@@ -120,7 +120,7 @@ class Lattice:
         self.tab = Tableau.initialized(0)
         self.cells: list[tuple[int, int]] = []   # tableau qubit -> cell
         self._qubits: dict[tuple[int, int], int] = {}
-        self.data_cells = dict(data_cells or {})
+        self.data_cells = {lbl: tuple(rc) for lbl, rc in (data_cells or {}).items()}
         for rc in self.data_cells.values():
             self._check_cell(rc)
         self.active: set[tuple[int, int]] = set()
@@ -151,27 +151,24 @@ class Lattice:
         if not self._in_grid(rc):
             raise LatticeError(f"cell {tuple(rc)} outside the grid")
 
-    def _allocate(self, new: list[tuple[int, int]]) -> None:
-        """Give each cell in ``new`` (distinct, without a qubit) a fresh |0>
-        qubit, in one tableau resize."""
-        if not new:
-            return
-        if self.n + len(new) > MAX_CELLS:
-            raise LatticeError(
-                f"lattice would use {self.n + len(new)} cells; the limit is {MAX_CELLS}")
-        for rc, q in zip(new, self.tab.add_qubits(len(new))):
-            self._qubits[rc] = q
-            self.cells.append(rc)
-        f = self.frame
-        self.frame = PauliString(self.n, f.x, f.z, f.phase)
-
     def qubit(self, rc: tuple[int, int]) -> int:
-        """Tableau qubit of a cell; a cell without one gets a fresh |0>."""
+        """Tableau qubit of a cell; only ``prepare`` gives a cell one."""
         rc = tuple(rc)
         if rc not in self._qubits:
-            self._check_cell(rc)
-            self._allocate([rc])
+            raise LatticeError(f"cell {rc} was never prepared")
         return self._qubits[rc]
+
+    def data_qubits(self, labels: list[str]) -> list[int]:
+        """Tableau qubits of the cells of data labels, in label order."""
+        qubits = []
+        for lbl in labels:
+            if lbl not in self.data_cells:
+                raise LatticeError(f"no data cell is labelled {lbl!r}")
+            rc = self.data_cells[lbl]
+            if rc not in self._qubits:
+                raise LatticeError(f"data label {lbl!r}: cell {rc} was never prepared")
+            qubits.append(self._qubits[rc])
+        return qubits
 
     def _apply(self, gate: Gate) -> None:
         """Apply a gate to the state and conjugate the frame by it."""
@@ -207,7 +204,16 @@ class Lattice:
             if str(sym) not in INIT_SYMBOLS:
                 raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
             seen.add(rc)
-        self._allocate([rc for rc, _ in cells if rc not in self._qubits])
+        new = [rc for rc, _ in cells if rc not in self._qubits]
+        if self.n + len(new) > MAX_CELLS:
+            raise LatticeError(
+                f"lattice would use {self.n + len(new)} cells; the limit is {MAX_CELLS}")
+        if new:  # one tableau resize for all the fresh cells
+            for rc, q in zip(new, self.tab.add_qubits(len(new))):
+                self._qubits[rc] = q
+                self.cells.append(rc)
+            f = self.frame
+            self.frame = PauliString(self.n, f.x, f.z, f.phase)
         for rc, _ in cells:
             if rc in self.ever_measured:
                 self.tab.reset_to_zero(self._qubits[rc], rng=self._rng)
@@ -370,7 +376,7 @@ class Lattice:
         supported either entirely on the data cells or entirely off them;
         raises naming the lowest leftover entangled cell otherwise.
         """
-        data_qubits = [self.qubit(self.data_cells[lbl]) for lbl in label_order]
+        data_qubits = self.data_qubits(label_order)
         distinct = list(dict.fromkeys(data_qubits))   # two labels may share a cell
         try:
             sub = self.frame_applied_tableau().restricted(distinct)

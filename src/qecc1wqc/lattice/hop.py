@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from .. import code5
 from .engine import LatticeError
-from .layouts import (GRID_ROWS, e1_adjoint_stage_steps, e1_stage_steps,
-                      e2_stage_steps, fan_stage_steps, run_schedule,
-                      wheel_cells)
+from .layouts import (GRID_ROWS, Chains, GlobalCZ, Local, Prepare, Schedule,
+                      e1_adjoint_stage_steps, e1_stage_steps, e2_stage_steps,
+                      fan_stage_steps, run_schedule, wheel_cells)
 from .verify import target_tableau, verify_lattice_against
 
-HOP_GRID = [GRID_ROWS, 35]
+HOP_GRID = (GRID_ROWS, 35)
 A_BASE = 0
 B_BASE = 18
 HUB = (8, 26)  # = B register center
@@ -41,41 +41,33 @@ class HopReport:
 def _steps_cells(steps) -> set[tuple[int, int]]:
     cells = set()
     for step in steps:
-        for key in ("prepare", "local"):
-            for entry in step.get(key, []):
-                cells.add((entry[0], entry[1]))
-        for obj in step.get("chains", []):
-            cells.update(tuple(rc) for rc in obj["interior"])
+        match step:
+            case Prepare(entries) | Local(entries):
+                cells.update(rc for rc, _ in entries)
+            case Chains(chains):
+                cells.update(rc for ch in chains for rc in ch.interior)
     return cells
 
 
-def _merge_stages(a_steps: list[dict], b_steps: list[dict]) -> list[dict]:
-    """Share the global layers of two stages over disjoint regions.
+def _segments(steps) -> list[list]:
+    """A stage split before each of its global layers."""
+    segments = [[]]
+    for step in steps:
+        if isinstance(step, GlobalCZ):
+            segments.append([])
+        segments[-1].append(step)
+    return segments
 
-    Both stage step lists must have the same global-layer skeleton; prepare,
-    local and chain steps are concatenated around the shared layers.
-    """
-    def skeleton(steps):
-        return [s["global_cz"] for s in steps if "global_cz" in s]
 
-    if skeleton(a_steps) != skeleton(b_steps):
+def _merge_stages(a_steps: list, b_steps: list) -> list:
+    """Share the global layers of two stages over disjoint regions; after
+    each shared layer, A's other steps run before B's."""
+    a_segs, b_segs = _segments(a_steps), _segments(b_steps)
+    if [s[0] for s in a_segs[1:]] != [s[0] for s in b_segs[1:]]:
         raise LatticeError("cannot merge stages with different layer skeletons")
-    merged: list[dict] = []
-    ia = ib = 0
-
-    def drain(steps, i, merged):
-        while i < len(steps) and "global_cz" not in steps[i]:
-            merged.append(steps[i])
-            i += 1
-        return i
-
-    while ia < len(a_steps) or ib < len(b_steps):
-        ia = drain(a_steps, ia, merged)
-        ib = drain(b_steps, ib, merged)
-        if ia < len(a_steps):
-            merged.append(a_steps[ia])
-            ia += 1
-            ib += 1  # identical global step on the b side
+    merged = a_segs[0] + b_segs[0]
+    for a_seg, b_seg in zip(a_segs[1:], b_segs[1:]):
+        merged += a_seg + b_seg[1:]
     return merged
 
 
@@ -117,10 +109,8 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     else:
         hop_steps = fan + a_dec_e2 + a_dec_e1 + b_enc_e1 + b_enc_e2
 
-    sched = {"name": f"hop_{mode}", "grid": HOP_GRID,
-             "data_cells": {k: list(v) for k, v in data.items()},
-             "steps": prep_steps + hop_steps,
-             "expected_global_cz": 4 + (7 if mode == "simultaneous" else 11)}
+    sched = Schedule(f"hop_{mode}", HOP_GRID, data, prep_steps + hop_steps,
+                     4 + (7 if mode == "simultaneous" else 11))
     lat = run_schedule(sched, seed=seed)
     prep_ops = 4
     hop_ops = lat.counts.global_cz_steps - prep_ops

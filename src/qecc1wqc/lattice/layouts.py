@@ -1,4 +1,4 @@
-"""Named schedule construction: wheel registers, hub fans, and stage lists.
+"""Schedules: typed steps, named builders, the JSON reader and the interpreter.
 
 Geometry.  Each five-qubit register is a "wheel": the information qubit at
 the center of a 17x17 neighborhood with the other four data qubits at the
@@ -28,6 +28,7 @@ re-initialization between layers.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .engine import Chain, Lattice, LatticeError
 
@@ -41,6 +42,40 @@ ARM_S = (13, 8)
 
 NAMED_SCHEDULES = ("E1_lattice", "E2_lattice", "GHZ6_lattice", "LP_full",
                    "horseshoe_lattice")
+
+Cell = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Prepare:
+    cells: list[tuple[Cell, str]]          # (cell, "0" | "1" | "+" | "-")
+
+
+@dataclass(frozen=True)
+class Local:
+    ops: list[tuple[Cell, list[str]]]      # (cell, gates applied in order)
+
+
+@dataclass(frozen=True)
+class GlobalCZ:
+    axis: str                              # "vertical" or "horizontal"
+
+
+@dataclass(frozen=True)
+class Chains:
+    chains: list[Chain]                    # measured out in order
+
+
+Step = Prepare | Local | GlobalCZ | Chains
+
+
+@dataclass(frozen=True)
+class Schedule:
+    name: str
+    grid: tuple[int, int]                  # (rows, cols)
+    data_cells: dict[str, Cell]
+    steps: list[Step]
+    expected_global_cz: int
 
 
 def wheel_cells(base: int) -> dict[str, tuple[int, int]]:
@@ -145,13 +180,8 @@ def fan_geometry(hub: tuple[int, int], direction: int):
     return [to_north, to_near, to_south], [to_center, to_far], early, late
 
 
-def _chain_obj(chain: Chain) -> dict:
-    return {"u": list(chain.u), "v": list(chain.v),
-            "interior": [list(rc) for rc in chain.interior]}
-
-
-def _prep(cells, sym: str):
-    return [[r, c, sym] for (r, c) in cells]
+def _prep(cells, sym: str) -> list[tuple[Cell, str]]:
+    return [(rc, sym) for rc in cells]
 
 
 def _interiors(chains: list[Chain]) -> list[tuple[int, int]]:
@@ -161,13 +191,12 @@ def _interiors(chains: list[Chain]) -> list[tuple[int, int]]:
     return out
 
 
-def e1_stage_steps(bases: list[int], fresh=()) -> list[dict]:
+def e1_stage_steps(bases: list[int], fresh=()) -> list[Step]:
     """Dressed E1 layer for one or more registers sharing the two global layers.
 
     The centers of the registers in ``fresh`` are newly prepared in |+>;
     the other centers are live and kept untouched.
     """
-    steps: list[dict] = []
     prep: list = []
     chains: list[Chain] = []
     locals_pre = []
@@ -180,45 +209,33 @@ def e1_stage_steps(bases: list[int], fresh=()) -> list[dict]:
         chs = e1_chains(base)
         chains += chs
         prep += _prep(_interiors(chs), "+")
-        locals_pre += [[*w[k], ["H"]] for k in "12345"]
-        locals_post += [[*w["1"], ["H", "Z"]]]
-        locals_post += [[*w[k], ["Z"]] for k in "2345"]
-    steps.append({"prepare": prep})
-    steps.append({"local": locals_pre})
-    steps.append({"global_cz": "vertical"})
-    steps.append({"global_cz": "horizontal"})
-    steps.append({"chains": [_chain_obj(c) for c in chains]})
-    steps.append({"local": locals_post})
-    return steps
+        locals_pre += [(w[k], ["H"]) for k in "12345"]
+        locals_post += [(w["1"], ["H", "Z"])]
+        locals_post += [(w[k], ["Z"]) for k in "2345"]
+    return [Prepare(prep), Local(locals_pre), GlobalCZ("vertical"),
+            GlobalCZ("horizontal"), Chains(chains), Local(locals_post)]
 
 
-def e1_adjoint_stage_steps(bases: list[int]) -> list[dict]:
+def e1_adjoint_stage_steps(bases: list[int]) -> list[Step]:
     """Adjoint of the dressed E1 layer (decoder half)."""
-    steps: list[dict] = []
     locals_pre = []
     locals_post = []
     prep: list = []
     chains: list[Chain] = []
     for base in bases:
         w = wheel_cells(base)
-        locals_pre += [[*w[k], ["Z"]] for k in "2345"]
-        locals_pre += [[*w["1"], ["Z", "H"]]]
-        locals_post += [[*w[k], ["H"]] for k in "12345"]
+        locals_pre += [(w[k], ["Z"]) for k in "2345"]
+        locals_pre += [(w["1"], ["Z", "H"])]
+        locals_post += [(w[k], ["H"]) for k in "12345"]
         chs = e1_chains(base)
         chains += chs
         prep += _prep(_interiors(chs), "+")
-    steps.append({"local": locals_pre})
-    steps.append({"prepare": prep})
-    steps.append({"global_cz": "vertical"})
-    steps.append({"global_cz": "horizontal"})
-    steps.append({"chains": [_chain_obj(c) for c in chains]})
-    steps.append({"local": locals_post})
-    return steps
+    return [Local(locals_pre), Prepare(prep), GlobalCZ("vertical"),
+            GlobalCZ("horizontal"), Chains(chains), Local(locals_post)]
 
 
 def e2_stage_steps(bases: list[int], extra_chains: list[Chain] = (),
-                   extra_prep: list = ()) -> list[dict]:
-    steps: list[dict] = []
+                   extra_prep: list = ()) -> list[Step]:
     prep: list = list(extra_prep)
     chains: list[Chain] = []
     for base in bases:
@@ -228,15 +245,12 @@ def e2_stage_steps(bases: list[int], extra_chains: list[Chain] = (),
     chains = chains + list(extra_chains)
     for ch in extra_chains:
         prep += _prep(ch.interior, "+")
-    steps.append({"prepare": prep})
-    steps.append({"global_cz": "vertical"})
-    steps.append({"global_cz": "horizontal"})
-    steps.append({"chains": [_chain_obj(c) for c in chains]})
-    return steps
+    return [Prepare(prep), GlobalCZ("vertical"), GlobalCZ("horizontal"),
+            Chains(chains)]
 
 
 def fan_stage_steps(hub: tuple[int, int], direction: int,
-                    prep_hub: bool, more_fans=()) -> list[dict]:
+                    prep_hub: bool, more_fans=()) -> list[Step]:
     """Three-layer fan stage; ``more_fans`` merges additional (hub,
     direction) fans into the same global layers."""
     fans = [(hub, direction)] + list(more_fans)
@@ -257,76 +271,66 @@ def fan_stage_steps(hub: tuple[int, int], direction: int,
             prep += _prep([h], "+")
     prep += _prep(early, "+")
     return [
-        {"prepare": prep},
-        {"global_cz": "horizontal"},
-        {"global_cz": "vertical"},
-        {"chains": [_chain_obj(c) for c in first]},
-        {"prepare": _prep(late, "+")},
-        {"global_cz": "vertical"},
-        {"chains": [_chain_obj(c) for c in second]},
+        Prepare(prep),
+        GlobalCZ("horizontal"),
+        GlobalCZ("vertical"),
+        Chains(first),
+        Prepare(_prep(late, "+")),
+        GlobalCZ("vertical"),
+        Chains(second),
     ]
 
 
 # -- named schedules ---------------------------------------------------------
 
 
-def schedule_E1() -> dict:
+def schedule_E1() -> Schedule:
     w = wheel_cells(0)
     chains = e1_chains(0)
     steps = [
-        {"prepare": _prep(w.values(), "+") + _prep(_interiors(chains), "+")},
-        {"global_cz": "vertical"},
-        {"global_cz": "horizontal"},
-        {"chains": [_chain_obj(c) for c in chains]},
+        Prepare(_prep(w.values(), "+") + _prep(_interiors(chains), "+")),
+        GlobalCZ("vertical"),
+        GlobalCZ("horizontal"),
+        Chains(chains),
     ]
-    return {"name": "E1_lattice", "grid": [GRID_ROWS, 17],
-            "data_cells": {k: list(v) for k, v in w.items()},
-            "steps": steps, "expected_global_cz": 2}
+    return Schedule("E1_lattice", (GRID_ROWS, 17), w, steps, 2)
 
 
-def schedule_E2() -> dict:
+def schedule_E2() -> Schedule:
     w = wheel_cells(0)
-    return {"name": "E2_lattice", "grid": [GRID_ROWS, 17],
-            "data_cells": {k: list(v) for k, v in w.items()},
-            "steps": e2_stage_steps([0], extra_prep=_prep(w.values(), "+")),
-            "expected_global_cz": 2}
+    return Schedule("E2_lattice", (GRID_ROWS, 17), w,
+                    e2_stage_steps([0], extra_prep=_prep(w.values(), "+")), 2)
 
 
-def schedule_GHZ6() -> dict:
+def schedule_GHZ6() -> Schedule:
     w = wheel_cells(0)
     hub = (8, 26)
-    cells = {k: list(v) for k, v in w.items()}
-    cells["6"] = list(hub)
-    steps = [{"prepare": _prep(w.values(), "+")}]
+    steps = [Prepare(_prep(w.values(), "+"))]
     steps += fan_stage_steps(hub, -1, prep_hub=True)
-    return {"name": "GHZ6_lattice", "grid": [GRID_ROWS, 29],
-            "data_cells": cells, "steps": steps, "expected_global_cz": 3}
+    return Schedule("GHZ6_lattice", (GRID_ROWS, 29), {**w, "6": hub}, steps, 3)
 
 
-def schedule_LP_full() -> dict:
+def schedule_LP_full() -> Schedule:
     w = wheel_cells(0)
     hub = (8, 26)
-    cells = {k: list(v) for k, v in w.items()}
-    cells["6"] = list(hub)
-    steps: list[dict] = []
+    steps: list[Step] = []
     steps += e1_stage_steps([0], fresh=[0])
     steps += e2_stage_steps([0])
     steps += fan_stage_steps(hub, -1, prep_hub=True)
-    return {"name": "LP_full", "grid": [GRID_ROWS, 29],
-            "data_cells": cells, "steps": steps, "expected_global_cz": 7}
+    return Schedule("LP_full", (GRID_ROWS, 29), {**w, "6": hub}, steps, 7)
 
 
-def schedule_horseshoe() -> dict:
+def schedule_horseshoe() -> Schedule:
     bases = {"A": 0, "B": 18, "C": 36, "D": 54}
-    cells: dict[str, list[int]] = {}
+    cells: dict[str, Cell] = {}
     for reg, offset in (("A", 0), ("B", 5), ("C", 10), ("D", 15)):
         for k, rc in wheel_cells(bases[reg]).items():
-            cells[str(int(k) + offset)] = list(rc)
+            cells[str(int(k) + offset)] = rc
     hub_b = (8, 26)
     hub_c = (8, 44)
     bridge = Chain(hub_b, hub_c,
                    [(9, 26), (10, 26)] + _row(10, 27, 43) + [(10, 44), (9, 44)])
-    steps: list[dict] = []
+    steps: list[Step] = []
     steps += e1_stage_steps([bases["A"], bases["D"]],
                             fresh=[bases["A"], bases["D"]])
     steps += e2_stage_steps([bases["A"], bases["D"]],
@@ -336,8 +340,7 @@ def schedule_horseshoe() -> dict:
                              more_fans=[(hub_c, +1)])
     steps += e1_stage_steps([bases["B"], bases["C"]])
     steps += e2_stage_steps([bases["B"], bases["C"]])
-    return {"name": "horseshoe_lattice", "grid": [GRID_ROWS, 72],
-            "data_cells": cells, "steps": steps, "expected_global_cz": 11}
+    return Schedule("horseshoe_lattice", (GRID_ROWS, 72), cells, steps, 11)
 
 
 _BUILDERS = {
@@ -349,14 +352,15 @@ _BUILDERS = {
 }
 
 
-def build_schedule(name: str) -> dict:
+def build_schedule(name: str) -> Schedule:
     if name not in _BUILDERS:
         raise LatticeError(f"unknown schedule {name!r}")
     return _BUILDERS[name]()
 
 
-def load_schedule(name_or_path: str) -> dict:
-    """Build a named schedule, or read a JSON schedule file."""
+def load_schedule(name_or_path: str) -> Schedule:
+    """Build a named schedule, or read a JSON schedule file: the one reader
+    of the JSON step format (see the README), which checks its shape once."""
     if name_or_path in _BUILDERS:
         return build_schedule(name_or_path)
     try:
@@ -370,10 +374,21 @@ def load_schedule(name_or_path: str) -> dict:
     missing = [k for k in ("name", *_FIELDS) if k not in sched]
     if missing:
         raise LatticeError(f"{name_or_path}: schedule lacks {', '.join(missing)}")
-    return sched
-
-
-# -- execution -----------------------------------------------------------------
+    name = sched["name"]
+    if not isinstance(name, str):
+        raise LatticeError(f"schedule name must be a string, got {name!r}")
+    for key, (ok, shape) in _FIELDS.items():
+        if not ok(sched[key]):
+            raise LatticeError(f"{name}: {key} must be {shape}, got {sched[key]!r}")
+    steps = []
+    for i, step in enumerate(sched["steps"]):
+        try:
+            steps.append(_step(step))
+        except LatticeError as exc:
+            raise LatticeError(f"{name} step {i}: {exc}") from None
+    return Schedule(name, tuple(sched["grid"]),
+                    {k: tuple(v) for k, v in sched["data_cells"].items()},
+                    steps, sched["expected_global_cz"])
 
 
 def _is_int(x) -> bool:
@@ -409,23 +424,21 @@ def _chain(obj) -> Chain:
     return Chain(tuple(obj["u"]), tuple(obj["v"]), [tuple(rc) for rc in interior])
 
 
-def _run_step(lat: Lattice, step) -> None:
+def _step(step) -> Step:
     if not (isinstance(step, dict) and len(step) == 1):
         raise LatticeError(f"a step must be an object with one key, got {step!r}")
     (kind, body), = step.items()
     if kind == "global_cz":
-        lat.global_cz(body)
-    elif kind not in ("prepare", "local", "chains"):
+        return GlobalCZ(body)
+    if kind not in ("prepare", "local", "chains"):
         raise LatticeError(f"unknown step {step!r}")
-    elif not isinstance(body, list):
+    if not isinstance(body, list):
         raise LatticeError(f"{kind} must be a list, got {body!r}")
-    elif kind == "prepare":
-        lat.prepare(_cell_entries(kind, body))
-    elif kind == "local":
-        lat.local_ops(_cell_entries(kind, body))
-    else:
-        for obj in body:
-            lat.measure_chain(_chain(obj))
+    if kind == "prepare":
+        return Prepare(_cell_entries(kind, body))
+    if kind == "local":
+        return Local(_cell_entries(kind, body))
+    return Chains([_chain(obj) for obj in body])
 
 
 _FIELDS = {
@@ -438,41 +451,49 @@ _FIELDS = {
 }
 
 
-def run_schedule(sched: dict, seed=None) -> Lattice:
+# -- execution -----------------------------------------------------------------
+
+
+def run_schedule(sched: Schedule, seed=None) -> Lattice:
     """Execute a schedule on a fresh lattice, checking it as it runs.
 
-    Every step entry is type-checked, and the lattice enforces the edge
-    rule: each chain edge is created by exactly one global layer before its
-    chain is measured.  After the last step no edge may be left over (the
-    error names the step of the earliest layer that made a leftover one)
-    and the global-layer count must equal ``expected_global_cz``.  Failures
-    raise ``LatticeError`` naming the schedule and, within the run, the
-    step index.
+    The lattice enforces the edge rule: each chain edge is created by
+    exactly one global layer before its chain is measured.  After the last
+    step no edge may be left over (the error names the step of the earliest
+    layer that made a leftover one) and the global-layer count must equal
+    ``expected_global_cz``.  Failures raise ``LatticeError`` naming the
+    schedule and, within the run, the step index.  Steps are typed, so
+    their shapes need no check here (:func:`load_schedule` checks files).
     """
-    name = sched.get("name")
-    if not isinstance(name, str):
-        raise LatticeError(f"schedule name must be a string, got {name!r}")
-    for key, (ok, shape) in _FIELDS.items():
-        if not ok(sched.get(key)):
-            raise LatticeError(f"{name}: {key} must be {shape}, got {sched.get(key)!r}")
-    data = {k: tuple(v) for k, v in sched["data_cells"].items()}
+    if not isinstance(sched, Schedule):
+        raise TypeError(f"run_schedule takes a Schedule, not a {type(sched).__name__}"
+                        " (load_schedule reads a JSON schedule file)")
     try:
-        lat = Lattice(*sched["grid"], data)
+        lat = Lattice(*sched.grid, sched.data_cells)
     except LatticeError as exc:
-        raise LatticeError(f"{name}: data_cells: {exc}") from None
+        raise LatticeError(f"{sched.name}: data_cells: {exc}") from None
     if seed is not None:
         lat.seed(seed)
-    for i, step in enumerate(sched["steps"]):
+    for i, step in enumerate(sched.steps):
         try:
-            _run_step(lat, step)
+            match step:
+                case Prepare(cells):
+                    lat.prepare(cells)
+                case Local(ops):
+                    lat.local_ops(ops)
+                case GlobalCZ(axis):
+                    lat.global_cz(axis)
+                case Chains(chains):
+                    for chain in chains:
+                        lat.measure_chain(chain)
         except LatticeError as exc:
-            raise LatticeError(f"{name} step {i}: {exc}") from None
+            raise LatticeError(f"{sched.name} step {i}: {exc}") from None
     if lat.pending:
-        layer_steps = [i for i, step in enumerate(sched["steps"]) if "global_cz" in step]
+        layer_steps = [i for i, step in enumerate(sched.steps) if isinstance(step, GlobalCZ)]
         first = layer_steps[min(layers[0] for layers in lat.pending.values())]
-        raise LatticeError(f"{name}: unconsumed edges {sorted(lat.pending)[:4]} "
+        raise LatticeError(f"{sched.name}: unconsumed edges {sorted(lat.pending)[:4]} "
                            f"(first created by step {first})")
-    if lat.counts.global_cz_steps != sched["expected_global_cz"]:
-        raise LatticeError(f"{name}: {lat.counts.global_cz_steps} global layers, "
-                           f"expected {sched['expected_global_cz']}")
+    if lat.counts.global_cz_steps != sched.expected_global_cz:
+        raise LatticeError(f"{sched.name}: {lat.counts.global_cz_steps} global layers, "
+                           f"expected {sched.expected_global_cz}")
     return lat

@@ -86,7 +86,7 @@ def verify_lattice_against(lat: Lattice, target: Tableau,
                            label_order: list[str], name: str) -> VerifyResult:
     counts = lat.counts.global_cz_steps, lat.counts.measured_ancillae
     try:
-        qubits = [lat.qubit(lat.data_cells[lbl]) for lbl in label_order]
+        qubits = lat.data_qubits(label_order)
         if data_register_holds(lat.frame_applied_tableau(), qubits, target):
             return VerifyResult(name, True, *counts)
         sub = lat.data_subtableau(label_order)

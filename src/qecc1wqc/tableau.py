@@ -306,12 +306,6 @@ class Tableau:
                  + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))) % 4
         return np.bitwise_xor.reduce(xs, axis=0), np.bitwise_xor.reduce(zs, axis=0), phase
 
-    def _single_qubit_rows(self, q: int, px: bool, pz: bool) -> bytes:
-        """Bytes of the packed x then z rows of X_q^px Z_q^pz."""
-        want = np.zeros((2, self.x.shape[1]), dtype=np.uint64)
-        want[:, q >> 6] = px << (q & 63), pz << (q & 63)
-        return want.tobytes()
-
     def _measure(self, q: int, basis: str, rng, forced: int | None):
         """Measure the Pauli ``basis`` (X, Y or Z) on qubit q.
 
@@ -358,7 +352,7 @@ class Tableau:
 
         x, z, phase = self._partner_product(anti.nonzero()[0])
         sp = (phase - (px and pz)) % 4
-        if x.tobytes() + z.tobytes() != self._single_qubit_rows(q, px, pz) or sp % 2:
+        if (_row_int(x), _row_int(z)) != (px << q, pz << q) or sp % 2:
             raise AssertionError(
                 f"deterministic measurement did not reduce to +/-{basis}")
         outcome = sp // 2
@@ -485,18 +479,6 @@ class Tableau:
         x, z, phase = self._partner_product(anti)
         return (phase == p.phase and x.tobytes() == px.tobytes()
                 and z.tobytes() == pz.tobytes())
-
-    def is_disentangled(self, q: int) -> bool:
-        """True when qubit q is in a product state with the rest: X_q, Y_q
-        or Z_q is in the stabilizer group, up to sign."""
-        _check_qubits(self.n, [q])
-        n, w, s = self.n, q >> 6, q & 63
-        xq, zq = (self.x[:n, w] >> s) & 1, (self.z[:n, w] >> s) & 1
-        for anti, px, pz in ((zq, True, False), (xq ^ zq, True, True), (xq, False, True)):
-            x, z, _ = self._partner_product(np.flatnonzero(anti))
-            if x.tobytes() + z.tobytes() == self._single_qubit_rows(q, px, pz):
-                return True
-        return False
 
 
 def run_gates(t: Tableau, gates) -> Tableau:

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from qecc1wqc.cli import main
+from qecc1wqc.lattice import NAMED_SCHEDULES, build_schedule, load_schedule
+from schedule_json import schedule_json
 
 
 def test_syndrome_table_exit_zero(capsys):
@@ -70,17 +72,30 @@ def test_depolarize_small():
 
 
 def test_schedule_from_file(tmp_path):
-    from qecc1wqc.lattice import build_schedule
-    sched = build_schedule("E2_lattice")
+    sched = schedule_json(build_schedule("E2_lattice"))
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(sched))
     assert main(["--quiet", "lattice", "run", "--schedule", str(path),
                  "--verify"]) == 0
 
 
+@pytest.mark.parametrize("name", NAMED_SCHEDULES)
+def test_schedule_file_round_trip(name, tmp_path, capsys):
+    """A named schedule written as JSON reads back equal to the generated
+    one, and runs to the same report bytes: files and generators share one
+    format."""
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(schedule_json(build_schedule(name))))
+    assert load_schedule(str(path)) == build_schedule(name)
+    reports = []
+    for schedule in (name, str(path)):
+        assert main(["lattice", "run", "--schedule", schedule, "--verify", "--seed", "5"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_schedule_without_layer_count_rejected(tmp_path, capsys):
-    from qecc1wqc.lattice import build_schedule
-    sched = build_schedule("E2_lattice")
+    sched = schedule_json(build_schedule("E2_lattice"))
     del sched["expected_global_cz"]
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(sched))
@@ -126,8 +141,7 @@ def _bad_symbol(sched):
 ], ids=["steps", "grid", "global_cz", "chain_v", "data_cells", "symbol", "prepare_entry",
         "name", "data_cell_outside"])
 def test_malformed_schedule_file_rejected(tmp_path, capsys, mutate, expected):
-    from qecc1wqc.lattice import build_schedule
-    sched = build_schedule("E2_lattice")
+    sched = schedule_json(build_schedule("E2_lattice"))
     mutate(sched)
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(sched))
@@ -151,9 +165,27 @@ def test_schedule_over_cell_limit_rejected(tmp_path, capsys):
 
 
 def test_lattice_rejects_unknown_action(capsys):
+    code, payload = _error_report(capsys, ["lattice", "bogus", "--schedule", "E1_lattice"])
+    assert code == 2
+    assert not payload["ok"]
+    assert payload["error"].startswith("qecc1wqc lattice: argument run: invalid choice")
+
+
+@pytest.mark.parametrize("seed", ["x", "-1", "1.5"])
+def test_bad_seed_named_in_json_error(capsys, seed):
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", "E1_lattice",
+                                           "--seed", seed])
+    assert code == 2
+    assert payload == {"schema": "1", "ok": False,
+                       "error": "qecc1wqc lattice: argument --seed: expected a "
+                                f"non-negative integer, got '{seed}'"}
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "bogus", "--schedule", "E1_lattice"])
-    assert exc.value.code == 2
+        main(["lattice", "-h"])
+    assert exc.value.code == 0
+    assert "--schedule" in capsys.readouterr().out
 
 
 def _error_report(capsys, argv):
@@ -201,11 +233,9 @@ def test_teleport_renormalises_slightly_off_amplitudes(capsys):
 
 @pytest.mark.parametrize("amps", ["0,0", "nan,1", "1e400,0", "1e-400,0"])
 def test_teleport_rejects_degenerate_amplitudes(capsys, amps):
-    with pytest.raises(SystemExit) as exc:
-        main(["teleport", "--xi", "0.3", f"--alpha-beta={amps}"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "--alpha-beta" in err
+    code, payload = _error_report(capsys, ["teleport", "--xi", "0.3", f"--alpha-beta={amps}"])
+    assert code == 2
+    assert not payload["ok"] and "--alpha-beta" in payload["error"]
 
 
 @pytest.mark.parametrize("argv", [

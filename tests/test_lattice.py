@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
+from qecc1wqc.lattice.layouts import Chains, GlobalCZ, Local, Prepare, Schedule
 from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import EntangledError, Tableau, run_gates
+from schedule_json import schedule_json
 
 
 # -- engine basics ------------------------------------------------------------------
@@ -149,25 +152,17 @@ def test_triangle_of_odd_chains_composes():
     exactly the triangle graph state, for any outcomes."""
     data = {"a": (0, 0), "b": (0, 4), "c": (4, 2)}
     chains = [
-        {"u": [0, 0], "v": [0, 4], "interior": [[0, 1], [0, 2], [0, 3]]},
-        {"u": [0, 0], "v": [4, 2],
-         "interior": [[1, 0], [2, 0], [3, 0], [4, 0], [4, 1]]},
-        {"u": [0, 4], "v": [4, 2],
-         "interior": [[1, 4], [2, 4], [3, 4], [4, 4], [4, 3]]},
+        Chain((0, 0), (0, 4), [(0, 1), (0, 2), (0, 3)]),
+        Chain((0, 0), (4, 2), [(1, 0), (2, 0), (3, 0), (4, 0), (4, 1)]),
+        Chain((0, 4), (4, 2), [(1, 4), (2, 4), (3, 4), (4, 4), (4, 3)]),
     ]
-    sched = {
-        "name": "triangle", "grid": [6, 8],
-        "data_cells": {k: list(v) for k, v in data.items()},
-        "steps": [
-            {"prepare": ([[r, c, "+"] for r, c in data.values()]
-                         + [[r, c, "+"] for ch in chains
-                            for r, c in ch["interior"]])},
-            {"global_cz": "vertical"},
-            {"global_cz": "horizontal"},
-            {"chains": chains},
-        ],
-        "expected_global_cz": 2,
-    }
+    sched = Schedule("triangle", (6, 8), data, [
+        Prepare([(rc, "+") for rc in data.values()]
+                + [(rc, "+") for ch in chains for rc in ch.interior]),
+        GlobalCZ("vertical"),
+        GlobalCZ("horizontal"),
+        Chains(chains),
+    ], 2)
     target = Tableau.initialized(3, "+++")
     for a, b in ((0, 1), (0, 2), (1, 2)):
         target.apply(CZ(a, b))
@@ -182,16 +177,20 @@ def test_measured_ancillae_disentangled():
     lat.prepare([((0, 0), "+"), ((0, 3), "+")])
     lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
     for c in (1, 2):
-        assert lat.tab.is_disentangled(lat.qubit((0, c)))
+        lat.tab.restricted([lat.qubit((0, c))])  # raises EntangledError if not
+
+
+def _without_chain(sched: Schedule, index: int) -> Schedule:
+    """``sched`` with chain ``index`` of its last step left out."""
+    chains = list(sched.steps[-1].chains)
+    del chains[index]
+    return replace(sched, steps=sched.steps[:-1] + [Chains(chains)])
 
 
 def test_skipped_measurement_reported():
     """Dropping one chain measurement leaves its edges unconsumed; the run
     names them."""
-    sched = build_schedule("E1_lattice")
-    # remove one chain from the final step
-    bad = json.loads(json.dumps(sched))
-    bad["steps"][-1]["chains"] = bad["steps"][-1]["chains"][:-1]
+    bad = _without_chain(build_schedule("E1_lattice"), -1)
     with pytest.raises(LatticeError, match=r"E1_lattice: unconsumed edges \[\(\(8, 8\)"):
         run_schedule(bad, seed=1)
 
@@ -201,8 +200,7 @@ def test_leftover_edges_name_their_step(dropped, step):
     """The leftover-edge error names the step of the global layer that
     created them: E1's west chain is horizontal (step 2), its south chain
     vertical (step 1)."""
-    bad = build_schedule("E1_lattice")
-    del bad["steps"][-1]["chains"][dropped]
+    bad = _without_chain(build_schedule("E1_lattice"), dropped)
     with pytest.raises(LatticeError,
                        match=rf"unconsumed edges \[.*\] \(first created by step {step}\)$"):
         run_schedule(bad, seed=1)
@@ -224,6 +222,22 @@ def test_unmeasured_ancilla_reported_by_verifier():
     assert not res.ok
     assert res.diagnostic == "cell (0, 1) is still entangled with the data register"
 
+
+def test_verification_does_not_widen_the_lattice():
+    """A data cell that was never prepared fails verification, named by
+    its label and cell, and gets no qubit; so does a label with no cell."""
+    lat = Lattice(1, 3, {"a": (0, 0), "b": (0, 2)})
+    lat.prepare([((0, 0), "+")])
+    res = verify_lattice_against(lat, Tableau.initialized(2, "+0"), ["a", "b"], "row")
+    assert not res.ok
+    assert res.diagnostic == "data label 'b': cell (0, 2) was never prepared"
+    res = verify_lattice_against(lat, Tableau.initialized(2, "+0"), ["a", "c"], "row")
+    assert res.diagnostic == "no data cell is labelled 'c'"
+    with pytest.raises(LatticeError, match=r"^data label 'b': cell \(0, 2\) was never"):
+        lat.data_subtableau(["a", "b"])
+    with pytest.raises(LatticeError, match=r"^cell \(0, 1\) was never prepared"):
+        lat.qubit((0, 1))
+    assert lat.n == 1
 
 
 def test_diagnostic_names_lowest_cell_not_first_qubit():
@@ -262,7 +276,8 @@ def test_cell_keeps_its_qubit_when_reprepared():
     qubits = [lat.qubit((0, c)) for c in range(4)]
     lat.prepare([((0, 1), "0")])
     assert lat.n == 4 and [lat.qubit((0, c)) for c in range(4)] == qubits
-    assert lat.tab.is_disentangled(qubits[1])
+    from qecc1wqc.pauli import PauliString
+    assert lat.tab.stabilizes(PauliString.single(lat.n, qubits[1], "Z"))
 
 
 def test_cell_limit():
@@ -280,41 +295,42 @@ def test_cell_limit():
 # -- the edge rule and the schedule contract, checked as the schedule runs ---------
 
 
-def _row_schedule(**changes) -> dict:
+def _row_schedule(**changes) -> Schedule:
     """u = (0, 0) and v = (0, 3) linked through a two-cell chain."""
-    sched = {
-        "name": "row", "grid": [2, 4],
-        "data_cells": {"u": [0, 0], "v": [0, 3]},
-        "steps": [
-            {"prepare": [[0, c, "+"] for c in range(4)]},
-            {"global_cz": "horizontal"},
-            {"chains": [{"u": [0, 0], "v": [0, 3], "interior": [[0, 1], [0, 2]]}]},
-        ],
-        "expected_global_cz": 1,
-    }
-    sched.update(changes)
-    return sched
+    sched = Schedule("row", (2, 4), {"u": (0, 0), "v": (0, 3)}, [
+        Prepare([((0, c), "+") for c in range(4)]),
+        GlobalCZ("horizontal"),
+        Chains([Chain((0, 0), (0, 3), [(0, 1), (0, 2)])]),
+    ], 1)
+    return replace(sched, **changes)
 
 
-_PREP, _LAYER, _CHAIN = _row_schedule()["steps"]
+_PREP, _LAYER, _CHAIN = _row_schedule().steps
 
 
 @pytest.mark.parametrize("steps,expected,message", [
     ([_PREP, _CHAIN], 0, r"row step 1: chain edge \(\(0, 0\), \(0, 1\)\) created 0 times"),
     ([_PREP, _LAYER, _LAYER, _CHAIN], 2,
      r"row step 3: chain edge \(\(0, 0\), \(0, 1\)\) created 2 times"),
-    ([{"prepare": _PREP["prepare"] + [[1, 1, "+"]]}, {"global_cz": "vertical"}, _LAYER,
+    ([Prepare(_PREP.cells + [((1, 1), "+")]), GlobalCZ("vertical"), _LAYER,
       _CHAIN], 2, r"row step 3: stray edge \(\(0, 1\), \(1, 1\)\) touches measured interior"),
     ([_PREP, _LAYER], 1, r"row: unconsumed edges \[\(\(0, 0\), \(0, 1\)\)"),
     ([_PREP, _LAYER, _CHAIN], 2, r"row: 1 global layers, expected 2"),
-    ([{"prepare": [[2, 0, "+"]]}], 0, r"row step 0: cell \(2, 0\) outside the grid"),
+    ([Prepare([((2, 0), "+")])], 0, r"row step 0: cell \(2, 0\) outside the grid"),
     ([_PREP, _PREP], 0, r"row step 1: cell \(0, 0\) is active"),
-    ([{"local": [[1, 1, ["H"]]]}], 0, r"row step 0: local op on inactive cell \(1, 1\)"),
+    ([Local([((1, 1), ["H"])])], 0, r"row step 0: local op on inactive cell \(1, 1\)"),
 ], ids=["no_layer", "edge_twice", "stray_edge", "leftover", "layer_count",
         "outside_grid", "reprepare", "local_inactive"])
 def test_schedule_run_enforces_edge_rule(steps, expected, message):
     with pytest.raises(LatticeError, match=message):
         run_schedule(_row_schedule(steps=steps, expected_global_cz=expected), seed=0)
+
+
+def test_run_schedule_takes_only_a_schedule():
+    """The JSON form is for files; run_schedule points a dict to the reader."""
+    with pytest.raises(TypeError, match=r"^run_schedule takes a Schedule, not a dict "
+                                        r"\(load_schedule reads a JSON schedule file\)$"):
+        run_schedule(schedule_json(_row_schedule()), seed=0)
 
 
 _STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -343,17 +359,13 @@ def test_random_chain_path(path, seed):
     """Two global layers over a prepared path, then one chain: an induced
     path is exactly CZ on its endpoints after the frame, and a path with a
     shortcut edge between non-consecutive cells is rejected by the run."""
-    u, v = list(path[0]), list(path[-1])
-    sched = {
-        "name": "path", "grid": [5, 5], "data_cells": {"u": u, "v": v},
-        "steps": [
-            {"prepare": [[r, c, "+"] for r, c in path]},
-            {"global_cz": "vertical"},
-            {"global_cz": "horizontal"},
-            {"chains": [{"u": u, "v": v, "interior": [list(rc) for rc in path[1:-1]]}]},
-        ],
-        "expected_global_cz": 2,
-    }
+    u, v = path[0], path[-1]
+    sched = Schedule("path", (5, 5), {"u": u, "v": v}, [
+        Prepare([(rc, "+") for rc in path]),
+        GlobalCZ("vertical"),
+        GlobalCZ("horizontal"),
+        Chains([Chain(u, v, path[1:-1])]),
+    ], 2)
     induced = all(abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1
                   for i, a in enumerate(path) for b in path[i + 2:])
     if induced:
@@ -391,8 +403,9 @@ def test_schedule_random_outcomes_several_seeds():
         assert res.ok, res.diagnostic
 
 
-# sha256 of json.dumps(build_schedule(name), sort_keys=True): the schedules
-# the generators emit, step for step, and not only the outcome of running them.
+# sha256 of the JSON form of build_schedule(name), dumped with sorted keys:
+# the schedules the generators emit, step for step, and not only the outcome
+# of running them.
 SCHEDULE_SHA256 = {
     "E1_lattice": "da2a29b4de053958cc32031783f84c3c2b56a8c4588587596af1b57aa8e0fc49",
     "E2_lattice": "f465aa0feeb72d0879cb8ba1eacbaca9d3b49639cfb630a61abe391bc009af67",
@@ -404,7 +417,7 @@ SCHEDULE_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_SHA256))
 def test_named_schedule_bytes_pinned(name):
-    text = json.dumps(build_schedule(name), sort_keys=True)
+    text = json.dumps(schedule_json(build_schedule(name)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[name]
 
 

@@ -312,7 +312,7 @@ def test_long_path_measurement_crosses_words():
         p = compose_pauli(PauliString.single(n, 0, a), PauliString.single(n, n - 1, b))
         assert t.stabilizes(p)
     for q in (1, 63, 64, 65, 128):
-        assert t.is_disentangled(q)
+        t.restricted([q])  # raises EntangledError if q is not disentangled
         assert t.measure_x(q) == (outs[q - 1], True)
 
 
@@ -589,12 +589,6 @@ def test_restricted_rejects_out_of_range_qubit(qubits):
         Tableau.initialized(3, "+00").restricted(qubits)
 
 
-@pytest.mark.parametrize("q", [7, -1])
-def test_is_disentangled_rejects_out_of_range_qubit(q):
-    with pytest.raises(ValueError, match="out of range"):
-        Tableau.initialized(3, "+00").is_disentangled(q)
-
-
 @pytest.mark.parametrize("qubits,symbols", [([9], ["+"]), ([1, 3], ["0", "0"]), ([-1], ["1"])],
                          ids=["past_n", "identity_symbol", "negative"])
 def test_symbol_gates_reject_out_of_range_qubit(qubits, symbols):
@@ -668,15 +662,3 @@ def test_stabilizes_matches_reference_reduction(case):
     assert t.stabilizes(p) == _reference_stabilizes(t, p)
     assert _rows_bytes(t) == before
 
-
-@settings(max_examples=40, deadline=None)
-@given(case=states_and_paulis(), data=st.data())
-def test_is_disentangled_matches_restriction(case, data):
-    t, _ = case
-    for q in data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=6)):
-        try:
-            t.restricted([q])
-            split = True
-        except EntangledError:
-            split = False
-        assert t.is_disentangled(q) == split, q
