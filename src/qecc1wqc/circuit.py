@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .pauli import CLIFFORD_ANGLE_TOL
-
 GATE_KINDS = ("H", "X", "Y", "Z", "S", "SDG", "RZ", "CZ")
 
 
@@ -38,12 +36,6 @@ class Gate:
     @property
     def is_two_qubit(self) -> bool:
         return len(self.targets) == 2
-
-    def is_clifford(self) -> bool:
-        if self.kind != "RZ":
-            return True
-        k = self.xi / (math.pi / 2)
-        return abs(k - round(k)) <= CLIFFORD_ANGLE_TOL / (math.pi / 2)
 
 
 def H(q: int) -> Gate:

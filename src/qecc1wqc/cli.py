@@ -80,10 +80,12 @@ def _global_options() -> argparse.ArgumentParser:
 
 
 def _parse_amplitudes(text: str) -> tuple[complex, complex]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated amplitudes")
-    a, b = (complex(p.strip().replace("i", "j")) for p in parts)
+    try:
+        a, b = (complex(p.strip().replace("i", "j")) for p in text.split(","))
+    except ValueError:  # not two parts, or a part that is not a number
+        raise argparse.ArgumentTypeError(
+            f"expected two comma-separated amplitudes such as '0.6,0.8j', got {text!r}"
+        ) from None
     norm = math.hypot(abs(a), abs(b))
     if not (math.isfinite(norm) and norm > 0):
         raise argparse.ArgumentTypeError(
@@ -281,6 +283,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_flags(argv, args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` with ``--json`` and ``--quiet`` read from anywhere in ``argv``.
+
+    A usage error inside a subcommand stops argparse before it copies the
+    flags given after the subcommand into ``args``.
+    """
+    flags = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    flags.add_argument("--json")
+    flags.add_argument("--quiet", action="store_true")
+    try:
+        flags.parse_known_args(argv, namespace=args)
+    except argparse.ArgumentError:  # --json without a path
+        pass
+    return args
+
+
 def main(argv=None) -> int:
     # the shared flags default to SUPPRESS, so these fallbacks survive
     # unless a flag is given, before or after the subcommand
@@ -289,7 +307,7 @@ def main(argv=None) -> int:
         build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except ValueError as exc:  # a usage error, or bad input the library rejected
-        _emit(args, {"error": str(exc)}, False)
+        _emit(_output_flags(argv, args), {"error": str(exc)}, False)
         return 2
 
 

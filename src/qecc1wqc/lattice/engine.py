@@ -43,14 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit import Gate
-from ..pauli import PauliString, conjugate_cz_layer, conjugate_pauli
+from ..pauli import LOCAL_RULES, PauliString, conjugate_cz_layer, conjugate_pauli
 from ..tableau import INIT_SYMBOLS, EntangledError, Tableau
 
 # Most cells one lattice may give a qubit (the largest named schedule uses
 # 397).  Tableau memory grows with the square of this count.
 MAX_CELLS = 4096
-
-_LOCAL_GATES = ("H", "S", "SDG", "X", "Y", "Z")
 
 
 @dataclass
@@ -229,7 +227,7 @@ class Lattice:
             if rc not in self.active:
                 raise LatticeError(f"local op on inactive cell {rc}")
             for kind in kinds:
-                if kind not in _LOCAL_GATES:
+                if kind not in LOCAL_RULES:
                     raise LatticeError(f"unsupported local gate {kind!r}")
                 self._apply(Gate(kind, (self.qubit(rc),)))
         self.counts.local_layers += 1

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import code5, protocols
-from ..circuit import CZ, Circuit
+from ..circuit import Circuit
+from ..graphs import Graph
 from ..pauli import PauliString
 from ..tableau import Tableau, run_gates
 from .engine import Lattice, LatticeError
@@ -24,7 +25,8 @@ from .layouts import build_schedule, run_schedule
 
 
 def _star(n: int, hub: int) -> Circuit:
-    return Circuit(n).extend(CZ(hub, q) for q in range(n) if q != hub)
+    star = Graph.from_edges(n, [(hub, q) for q in range(n) if q != hub])
+    return Circuit(n, star.cz_gates())
 
 
 def _labels(first: int, last: int) -> tuple[str, ...]:

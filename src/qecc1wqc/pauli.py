@@ -7,6 +7,10 @@ A Pauli operator on n qubits is stored in the phased X/Z binary form
 with ``x`` and ``z`` kept as integer bitmasks (bit q = qubit q) and ``phase``
 an exponent of i modulo 4.  In this normal form Y appears as the bit pair
 (1, 1) with the factor i folded into the global phase: Y = i * XZ.
+
+The Clifford gate rules are written here once: ``clifford_kind`` reads an
+RZ angle and ``LOCAL_RULES`` updates the bits of a single-qubit gate's
+target, for a PauliString and for the bit columns of a tableau alike.
 """
 
 from __future__ import annotations
@@ -100,15 +104,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return (self.phase - _popcount(self.x & self.z)) % 2 == 0
 
-    def sign(self) -> int:
-        """+1 or -1 for a Hermitian operator (sign in front of the letters)."""
-        k = (self.phase - _popcount(self.x & self.z)) % 4
-        if k == 0:
-            return 1
-        if k == 2:
-            return -1
-        raise ValueError("operator is not Hermitian, sign undefined")
-
     def to_label(self) -> str:
         """Render as sign prefix plus letters, e.g. '+XZIIY'."""
         letters = []
@@ -155,13 +150,32 @@ def compose_pauli(p: PauliString, q: PauliString) -> PauliString:
 
 # -- Clifford conjugation ---------------------------------------------------
 
-def _clifford_angle_index(xi: float) -> int:
-    """Map an Rz angle to a quarter-turn index 0..3, or raise."""
-    k = xi / (math.pi / 2)
+_QUARTER_TURNS = ("NOP", "S", "Z", "SDG")
+
+
+def clifford_kind(gate) -> str:
+    """The kind of a circuit.Gate, with an RZ at a multiple of pi/2 read as
+    NOP, S, Z or SDG; raises NonCliffordGateError at any other angle."""
+    if gate.kind != "RZ":
+        return gate.kind
+    k = gate.xi / (math.pi / 2)
     r = round(k)
     if abs(k - r) > CLIFFORD_ANGLE_TOL / (math.pi / 2):
-        raise NonCliffordGateError(f"Rz({xi}) is not Clifford")
-    return r % 4
+        raise NonCliffordGateError(f"Rz({gate.xi}) is not Clifford")
+    return _QUARTER_TURNS[r % 4]
+
+
+# Single-qubit Clifford kind -> rule mapping the target's x and z bits to
+# (x flip, z flip, phase gain), None for a bit the gate never flips.  The
+# bits are ints for a PauliString and numpy columns for a tableau.
+LOCAL_RULES = {
+    "H": lambda x, z: (x ^ z, x ^ z, 2 * (x & z)),
+    "S": lambda x, z: (None, x, x),
+    "SDG": lambda x, z: (None, x, 3 * x),
+    "X": lambda x, z: (None, None, 2 * z),
+    "Y": lambda x, z: (None, None, 2 * (x ^ z)),
+    "Z": lambda x, z: (None, None, 2 * x),
+}
 
 
 def conjugate_cz_layer(p: PauliString, pairs) -> PauliString:
@@ -181,37 +195,12 @@ def conjugate_cz_layer(p: PauliString, pairs) -> PauliString:
 
 def conjugate_pauli(p: PauliString, gate) -> PauliString:
     """Return g p g^dagger for a Clifford gate ``g`` (a circuit.Gate)."""
-    kind = gate.kind
-    x, z, phase = p.x, p.z, p.phase
-
-    if kind == "RZ":
-        idx = _clifford_angle_index(gate.xi)
-        kind = ("NOP", "S", "Z", "SDG")[idx]
-
+    kind = clifford_kind(gate)
     if kind == "NOP":
         return p
-
     if kind == "CZ":
         return conjugate_cz_layer(p, (gate.targets,))
-
     (t,) = gate.targets
-    xt, zt = (x >> t) & 1, (z >> t) & 1
-    if kind == "H":
-        x ^= (xt ^ zt) << t
-        z ^= (xt ^ zt) << t
-        phase += 2 * (xt & zt)
-    elif kind == "S":
-        z ^= xt << t
-        phase += xt
-    elif kind == "SDG":
-        z ^= xt << t
-        phase += 3 * xt
-    elif kind == "X":
-        phase += 2 * zt
-    elif kind == "Z":
-        phase += 2 * xt
-    elif kind == "Y":
-        phase += 2 * (xt ^ zt)
-    else:
-        raise NonCliffordGateError(f"cannot conjugate by gate kind {kind!r}")
-    return PauliString(p.n, x, z, phase % 4)
+    fx, fz, d = LOCAL_RULES[kind]((p.x >> t) & 1, (p.z >> t) & 1)
+    return PauliString(p.n, p.x ^ ((fx or 0) << t), p.z ^ ((fz or 0) << t),
+                       (p.phase + d) % 4)

@@ -34,11 +34,12 @@ time it runs, so tests for zero and equality reuse ``count_nonzero``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .circuit import Gate
-from .pauli import NonCliffordGateError, PauliString, _clifford_angle_index
+from .pauli import LOCAL_RULES, PauliString, clifford_kind
 
 
 class ForcedOutcomeError(ValueError):
@@ -186,51 +187,27 @@ class Tableau:
     # -- gates ----------------------------------------------------------------
 
     def apply(self, g: Gate) -> "Tableau":
-        for t in g.targets:
-            if not 0 <= t < self.n:
-                raise ValueError(f"gate target {t} out of range")
-        if not g.is_clifford():
-            raise NonCliffordGateError(f"non-Clifford gate {g}")
-        kind = g.kind
-        if kind == "RZ":
-            kind = ("NOP", "S", "Z", "SDG")[_clifford_angle_index(g.xi)]
-        if kind == "NOP":
-            return self
-        x, z, ph = self.x, self.z, self.ph
+        """One Clifford gate: a CZ is a one-pair layer, a single-qubit gate
+        rewrites the bit columns its rule in ``pauli.LOCAL_RULES`` flips."""
+        kind = clifford_kind(g)
         if kind == "CZ":
-            a, b = g.targets
-            wa, sa = a >> 6, a & 63
-            wb, sb = b >> 6, b & 63
-            xa = (x[:, wa] >> sa) & 1
-            xb = (x[:, wb] >> sb) & 1
-            z[:, wa] ^= xb << sa
-            z[:, wb] ^= xa << sb
-            ph += (xa & xb) << 1
-            ph &= 3
-            return self
+            return self.apply_cz_layer([g.targets])
         (t,) = g.targets
-        w, s = t >> 6, t & 63
-        if kind not in ("H", "S", "SDG", "X", "Y", "Z"):
-            raise NonCliffordGateError(f"unsupported gate kind {kind!r}")
-        xt = (x[:, w] >> s) & 1
-        if kind in ("S", "SDG"):
-            z[:, w] ^= xt << s
-            d = xt if kind == "S" else 3 * xt
-        elif kind == "Z":
-            d = xt << 1
-        else:
-            zt = (z[:, w] >> s) & 1
-            if kind == "H":
-                flip = (xt ^ zt) << s
-                x[:, w] ^= flip
-                z[:, w] ^= flip
-                d = (xt & zt) << 1
-            elif kind == "X":
-                d = zt << 1
-            else:  # Y
-                d = (xt ^ zt) << 1
-        ph += d
-        ph &= 3
+        if not 0 <= t < self.n:
+            raise ValueError(f"gate target {t} out of range")
+        if kind not in LOCAL_RULES:  # an RZ by a whole number of turns
+            return self
+        # bit t of a row is bit t % 8 of its byte t // 8 (see apply_cz_layer);
+        # byte columns keep the phase arithmetic in uint8
+        byte, s = t >> 3, t & 7
+        x, z = self.x.view(np.uint8)[:, byte], self.z.view(np.uint8)[:, byte]
+        fx, fz, d = LOCAL_RULES[kind]((x >> s) & 1, (z >> s) & 1)
+        if fx is not None:
+            x ^= fx << s
+        if fz is not None:
+            z ^= fz << s
+        self.ph += d
+        self.ph &= 3
         return self
 
     def apply_cz_layer(self, pairs) -> "Tableau":
@@ -482,6 +459,12 @@ class Tableau:
 
 
 def run_gates(t: Tableau, gates) -> Tableau:
-    for g in gates:
-        t.apply(g)
+    """Apply ``gates`` in order, each run of consecutive CZs as one
+    :meth:`Tableau.apply_cz_layer` call."""
+    for is_cz, run in groupby(gates, key=lambda g: g.kind == "CZ"):
+        if is_cz:
+            t.apply_cz_layer([g.targets for g in run])
+        else:
+            for g in run:
+                t.apply(g)
     return t

@@ -2,6 +2,7 @@ import pytest
 
 from qecc1wqc import protocols
 from qecc1wqc.circuit import CZ, Circuit, Gate, H, RZ
+from qecc1wqc.pauli import NonCliffordGateError, clifford_kind
 
 
 def test_empty_circuit_has_no_two_qubit_gates():
@@ -29,9 +30,12 @@ def test_gate_validation():
 
 def test_clifford_angle_classification():
     import math
-    assert RZ(0, math.pi / 2).is_clifford()
-    assert RZ(0, -math.pi).is_clifford()
-    assert not RZ(0, 0.4).is_clifford()
+    assert clifford_kind(RZ(0, math.pi / 2)) == "S"
+    assert clifford_kind(RZ(0, -math.pi)) == "Z"
+    assert clifford_kind(RZ(0, -math.pi / 2)) == "SDG"
+    assert clifford_kind(H(0)) == "H"
+    with pytest.raises(NonCliffordGateError):
+        clifford_kind(RZ(0, 0.4))
 
 
 def test_out_of_range_target_rejected():

@@ -226,16 +226,29 @@ def test_error_report_written_to_json_file(tmp_path):
     assert json.loads(out.read_text())["ok"] is False
 
 
+def test_usage_error_honours_output_flags_after_subcommand(tmp_path, capsys):
+    """A usage error inside a subcommand still writes --json and obeys
+    --quiet when both come after the subcommand."""
+    out = tmp_path / "err.json"
+    assert main(["lattice", "--schedule", "E1_lattice", "--json", str(out), "--quiet",
+                 "--seed", "y"]) == 2
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == {
+        "schema": "1", "ok": False,
+        "error": "qecc1wqc lattice: argument --seed: expected a non-negative integer, got 'y'"}
+
+
 def test_teleport_renormalises_slightly_off_amplitudes(capsys):
     assert main(["--quiet", "teleport", "--xi", "0.3",
                  "--alpha-beta", "0.6,0.8000001"]) == 0
 
 
-@pytest.mark.parametrize("amps", ["0,0", "nan,1", "1e400,0", "1e-400,0"])
+@pytest.mark.parametrize("amps", ["0,0", "nan,1", "1e400,0", "1e-400,0", "x,y"])
 def test_teleport_rejects_degenerate_amplitudes(capsys, amps):
     code, payload = _error_report(capsys, ["teleport", "--xi", "0.3", f"--alpha-beta={amps}"])
     assert code == 2
     assert not payload["ok"] and "--alpha-beta" in payload["error"]
+    assert payload["error"].endswith(f"got '{amps}'")
 
 
 @pytest.mark.parametrize("argv", [

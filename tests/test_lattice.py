@@ -319,8 +319,15 @@ _PREP, _LAYER, _CHAIN = _row_schedule().steps
     ([Prepare([((2, 0), "+")])], 0, r"row step 0: cell \(2, 0\) outside the grid"),
     ([_PREP, _PREP], 0, r"row step 1: cell \(0, 0\) is active"),
     ([Local([((1, 1), ["H"])])], 0, r"row step 0: local op on inactive cell \(1, 1\)"),
+    ([_PREP, _LAYER, Chains([Chain((0, 0), (0, 3), [(0, 2), (0, 1)])])], 1,
+     r"row step 2: chain cells \(0, 0\) and \(0, 2\) are not adjacent"),
+    ([_PREP, _LAYER, Chains([Chain((0, 0), (0, 3), [(0, 1), (0, 1)])])], 1,
+     r"row step 2: chain revisits a cell"),
+    *[([_PREP, Local([((0, 1), [kind])])], 0,
+       rf"row step 1: unsupported local gate '{kind}'") for kind in ("RZ", "CZ", "T")],
 ], ids=["no_layer", "edge_twice", "stray_edge", "leftover", "layer_count",
-        "outside_grid", "reprepare", "local_inactive"])
+        "outside_grid", "reprepare", "local_inactive", "not_adjacent", "revisit",
+        "local_rz", "local_cz", "local_t"])
 def test_schedule_run_enforces_edge_rule(steps, expected, message):
     with pytest.raises(LatticeError, match=message):
         run_schedule(_row_schedule(steps=steps, expected_global_cz=expected), seed=0)

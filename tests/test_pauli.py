@@ -3,7 +3,7 @@ import pytest
 
 from qecc1wqc import circuit
 from qecc1wqc.circuit import CZ, Gate, H, RZ, S
-from qecc1wqc.pauli import (NonCliffordGateError, PauliString, compose_pauli,
+from qecc1wqc.pauli import (LOCAL_RULES, NonCliffordGateError, PauliString, compose_pauli,
                             conjugate_pauli)
 
 
@@ -133,3 +133,7 @@ def test_label_round_trip(rng):
         p = PauliString(n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n)),
                         int(rng.integers(0, 4)))
         assert PauliString.from_label(p.to_label()) == p
+
+
+def test_local_rules_cover_every_single_qubit_kind():
+    assert set(LOCAL_RULES) == set(circuit.GATE_KINDS) - {"RZ", "CZ"}
