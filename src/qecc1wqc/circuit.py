@@ -1,16 +1,16 @@
 """Gates and circuits.
 
-A circuit is a gate list: the code builders and protocols emit one, and the
-dense simulator, the tableau simulator and the lattice verifier run it.
-Measurement and feed-forward belong to the protocols, which call the
+A circuit is a plain ``list[Gate]``: the code builders and protocols emit
+one, and the dense simulator, the tableau simulator and the lattice verifier
+run it, each checking every target against the width of the state it runs
+on.  Measurement and feed-forward belong to the protocols, which call the
 simulators directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 GATE_KINDS = ("H", "X", "Y", "Z", "S", "SDG", "RZ", "CZ")
 
@@ -70,29 +70,5 @@ def CZ(a: int, b: int) -> Gate:
     return Gate("CZ", (a, b))
 
 
-@dataclass
-class Circuit:
-    """Gates on qubits ``0..n-1``, applied in list order."""
-
-    n: int
-    gates: list[Gate] = field(default_factory=list)
-
-    def __post_init__(self):
-        # constructor gates get the same range check as appended ones
-        gates, self.gates = self.gates, []
-        self.extend(gates)
-
-    def append(self, gate: Gate) -> "Circuit":
-        for t in gate.targets:
-            if not 0 <= t < self.n:
-                raise ValueError(f"gate target {t} out of range")
-        self.gates.append(gate)
-        return self
-
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for g in gates:
-            self.append(g)
-        return self
-
-    def two_qubit_gate_count(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
+def two_qubit_gate_count(gates: list[Gate]) -> int:
+    return sum(1 for g in gates if g.is_two_qubit)

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import code5, harness, protocols, svsim
+from .circuit import two_qubit_gate_count
 from .harness import SCHEMA
 from .lattice import (load_schedule, run_hop, run_schedule, target_tableau,
                       verify_lattice_against)
@@ -36,13 +37,20 @@ def _fields(report) -> dict:
 def _emit(args, payload: dict, ok: bool, stdout: str | None = None) -> int:
     """Write the report: to ``--json`` as JSON, to stdout as JSON or ``stdout``.
 
-    Report dataclasses in ``payload`` serialize field by field.
+    Report dataclasses in ``payload`` serialize field by field.  A ``--json``
+    path that cannot be written gets an error report on stdout instead, and
+    exit status 2.
     """
     payload = {"schema": SCHEMA, "ok": bool(ok), **payload}
     text = json.dumps(payload, indent=2, sort_keys=True, default=_fields)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            error = f"cannot write --json {args.json}: {exc.strerror or exc}"
+            _emit(argparse.Namespace(json=None, quiet=args.quiet), {"error": error}, False)
+            return 2
     if not args.quiet:
         print(text if stdout is None else stdout)
     return 0 if ok else 1
@@ -150,7 +158,7 @@ def cmd_lcs2(args) -> int:
     fid = svsim.fidelity(state, protocols.assemble_lcs2_target())
     degrees = graph.degrees()
     payload = {
-        "two_qubit_gates": circuit.two_qubit_gate_count(),
+        "two_qubit_gates": two_qubit_gate_count(circuit),
         "degrees": degrees,
         "target_fidelity": fid,
         "graph": graph.to_json_obj(),
@@ -174,11 +182,11 @@ def cmd_horseshoe(args) -> int:
     interior = sorted(set(degrees[5:15]))
     payload = {
         "mode": args.mode,
-        "two_qubit_gates": circuit.two_qubit_gate_count(),
+        "two_qubit_gates": two_qubit_gate_count(circuit),
         "endpoint_degrees": endpoint,
         "interior_degrees": interior,
     }
-    ok = (circuit.two_qubit_gate_count() == 51
+    ok = (two_qubit_gate_count(circuit) == 51
           and endpoint == [7] and interior == [12])
     return _emit(args, payload, ok)
 

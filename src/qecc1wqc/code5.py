@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import svsim
-from .circuit import CZ, Circuit, Gate, H, Z
+from .circuit import CZ, Gate, H, Z
 from .pauli import PauliString, compose_pauli
 from .svsim import StateVector
 
@@ -108,50 +108,39 @@ def code_stabilizers() -> list[PauliString]:
 # -- circuits -----------------------------------------------------------------
 
 
-def build_E1(offset: int = 0, n: int = 5) -> Circuit:
-    """First encoder layer on qubits offset..offset+4 of an n-qubit circuit.
+def _encoder_layers(offset: int) -> list[list[Gate]]:
+    """The encoder on qubits offset..offset+4 as five layers, each of
+    commuting self-inverse gates: H on all five, the star CZs, H on the
+    centre, Z on all five (together E1), then the pentagon (E2)."""
+    reg = range(offset, offset + 5)
+    return [[H(q) for q in reg],
+            [CZ(offset, q) for q in reg[1:]],
+            [H(offset)],
+            [Z(q) for q in reg],
+            [CZ(offset + a, offset + b) for a, b in PENTAGON_EDGES]]
+
+
+def build_E1(offset: int = 0) -> list[Gate]:
+    """First encoder layer on qubits offset..offset+4.
 
     Maps |psi>|0000> to ((alpha-beta)|+>^5 + (alpha+beta)|->^5)/sqrt(2).
     """
-    c = Circuit(n)
-    for q in range(5):
-        c.append(H(offset + q))
-    for q in range(1, 5):
-        c.append(CZ(offset, offset + q))
-    c.append(H(offset))
-    for q in range(5):
-        c.append(Z(offset + q))
-    return c
+    return [g for layer in _encoder_layers(offset)[:4] for g in layer]
 
 
-def build_E2(offset: int = 0, n: int = 5) -> Circuit:
+def build_E2(offset: int = 0) -> list[Gate]:
     """Pentagon of CZ gates (the five-cycle entangler)."""
-    c = Circuit(n)
-    for a, b in PENTAGON_EDGES:
-        c.append(CZ(offset + a, offset + b))
-    return c
+    return _encoder_layers(offset)[4]
 
 
-def build_encoder(offset: int = 0, n: int = 5) -> Circuit:
-    c = Circuit(n)
-    c.extend(build_E1(offset, n).gates)
-    c.extend(build_E2(offset, n).gates)
-    return c
+def build_encoder(offset: int = 0) -> list[Gate]:
+    return [g for layer in _encoder_layers(offset) for g in layer]
 
 
-def build_decoder(offset: int = 0, n: int = 5) -> Circuit:
-    """Adjoint of the encoder: undo E2, then undo E1."""
-    c = Circuit(n)
-    for a, b in PENTAGON_EDGES:
-        c.append(CZ(offset + a, offset + b))
-    for q in range(5):
-        c.append(Z(offset + q))
-    c.append(H(offset))
-    for q in range(1, 5):
-        c.append(CZ(offset, offset + q))
-    for q in range(5):
-        c.append(H(offset + q))
-    return c
+def build_decoder(offset: int = 0) -> list[Gate]:
+    """Adjoint of the encoder: its layers in reverse order.  A layer of
+    commuting self-inverse gates is its own adjoint."""
+    return [g for layer in reversed(_encoder_layers(offset)) for g in layer]
 
 
 def encode(psi: tuple[complex, complex]) -> StateVector:

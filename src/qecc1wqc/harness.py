@@ -103,10 +103,10 @@ def _tail_circuit(stage: str) -> list:
     """
     if stage not in protocols.ERROR_STAGES:
         raise ValueError(f"unknown error stage {stage!r}")
-    tail = protocols.HOP_DECODE_A.gates
+    tail = protocols.HOP_DECODE_A
     if stage == "protected":
         return tail
-    return protocols.HOP_FAN_ENCODE_B.gates + tail
+    return protocols.HOP_FAN_ENCODE_B + tail
 
 
 def _propagate(p: PauliString, tail: list) -> PauliString:
@@ -253,14 +253,12 @@ def binomial_p_value(k: int, n: int, q: float) -> float:
 
 
 def run_depolarizing(p: float, trials: int, seed: int = 0,
-                     xi: float = 0.7, oracle: dict | None = None,
-                     unprotected: bool = False) -> RunReport:
+                     xi: float = 0.7, oracle: dict | None = None) -> RunReport:
     """Each protected qubit independently suffers a uniform X/Y/Z error with
     probability p; reports the empirical logical failure rate.
 
-    With ``unprotected`` the errors strike between the encoding of the
-    source register and the entangling fan instead, where the scheme gives
-    no guarantee; the oracle prediction then describes that window.
+    The ``oracle``, by default the protected window's, fixes where the
+    errors strike.
 
     ``within_5_sigma`` holds when the exact two-sided binomial p-value of
     the failure count under the oracle prediction is at least the normal
@@ -271,8 +269,7 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if oracle is None:
-        stage = "after_encode_a" if unprotected else "protected"
-        oracle = exhaustive_failure_oracle(xi=xi, seed=seed ^ 0x5EED, stage=stage)
+        oracle = exhaustive_failure_oracle(xi=xi, seed=seed ^ 0x5EED)
     table = oracle["table"]
     successes = 0
     fid_sum = 0.0

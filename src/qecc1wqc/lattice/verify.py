@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import code5, protocols
-from ..circuit import Circuit
+from ..circuit import Gate
 from ..graphs import Graph
 from ..pauli import PauliString
 from ..tableau import Tableau, run_gates
@@ -24,9 +24,8 @@ from .engine import Lattice, LatticeError
 from .layouts import build_schedule, run_schedule
 
 
-def _star(n: int, hub: int) -> Circuit:
-    star = Graph.from_edges(n, [(hub, q) for q in range(n) if q != hub])
-    return Circuit(n, star.cz_gates())
+def _star(n: int, hub: int) -> list[Gate]:
+    return Graph.from_edges(n, [(hub, q) for q in range(n) if q != hub]).cz_gates()
 
 
 def _labels(first: int, last: int) -> tuple[str, ...]:
@@ -52,7 +51,7 @@ def target_tableau(name: str) -> tuple[Tableau, list[str]]:
     if name not in REFERENCES:
         raise LatticeError(f"no target defined for schedule {name!r}")
     init, circuit, order = REFERENCES[name]
-    return run_gates(Tableau.initialized(circuit.n, init), circuit.gates), list(order)
+    return run_gates(Tableau.initialized(len(init), init), circuit), list(order)
 
 
 @dataclass

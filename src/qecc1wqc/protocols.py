@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import code5, svsim
-from .circuit import CZ, Circuit, H, Z
+from .circuit import CZ, Gate, H, Z, two_qubit_gate_count
 from .graphs import Graph, graph_to_tableau, pivot, pivot_layer_gates, tableau_to_graph
 from .pauli import PauliString
 from .svsim import StateVector
@@ -55,10 +55,10 @@ def assemble_lcs2_target() -> StateVector:
     return StateVector(10, v)
 
 
-def build_LCS2() -> tuple[Circuit, StateVector, Graph]:
+def build_LCS2() -> tuple[list[Gate], StateVector, Graph]:
     """The two-register graph state: its 35-gate circuit, state and graph."""
     graph = linear_cluster_graph(2)
-    c = Circuit(10, graph.cz_gates())
+    c = graph.cz_gates()
     state = svsim.init(10, "+" * 10)
     svsim.run_circuit(state, c)
     return c, state, graph
@@ -67,14 +67,14 @@ def build_LCS2() -> tuple[Circuit, StateVector, Graph]:
 # -- logical-physical cluster state -------------------------------------------
 
 
-def build_logical_physical_circuit() -> Circuit:
+def _fan(register: int, hub: int) -> list[Gate]:
+    """CZ from each qubit of the register starting at ``register`` onto ``hub``."""
+    return [CZ(q, hub) for q in range(register, register + 5)]
+
+
+def build_logical_physical_circuit() -> list[Gate]:
     """Encode qubits 0..4, then fan them onto the hub qubit 5."""
-    c = Circuit(6)
-    c.extend(code5.build_encoder(0, 6).gates)
-    c.append(H(5))
-    for n in range(5):
-        c.append(CZ(n, 5))
-    return c
+    return code5.build_encoder(0) + [H(5)] + _fan(0, 5)
 
 
 def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
@@ -90,43 +90,29 @@ def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
 def pentagon_logical_physical() -> StateVector:
     """Pentagon route: (|-L>|0>_6 + |+L>|1>_6)/sqrt(2), exactly."""
     state = svsim.init(6, "++++++")
-    for n in range(5):
-        svsim.apply(state, CZ(n, 5))
-    for a, b in code5.PENTAGON_EDGES:
-        svsim.apply(state, CZ(a, b))
-    return state
+    return svsim.run_circuit(state, _fan(0, 5) + code5.build_E2())
 
 
 # -- encoded teleportation ------------------------------------------------------
 
 
-def build_teleport_circuit(include_decode: bool = False) -> Circuit:
+def build_teleport_circuit() -> list[Gate]:
     """The two-register state-preparation circuit (23 two-qubit gates).
 
-    Encode A, fan the hub, encode B.  With ``include_decode`` the decoder on
-    A is appended as well (it is not part of the cluster-state preparation
-    cost).
+    Encode A, fan the hub, encode B.  The hop then runs the decoder on A,
+    which is not part of the cluster-state preparation cost.
     """
-    c = Circuit(10)
-    c.extend(code5.build_encoder(0, 10).gates)
-    c.append(H(5))
-    for n in range(5):
-        c.append(CZ(n, 5))
-    c.extend(code5.build_encoder(5, 10).gates)
-    if include_decode:
-        c.extend(code5.build_decoder(0, 10).gates)
-    return c
+    return build_logical_physical_circuit() + code5.build_encoder(5)
 
 
 # The hop cut at its two error windows: after encoding A ("after_encode_a")
 # and after encoding B ("protected").
-_HOP = build_teleport_circuit(include_decode=True).gates
-_A_END = len(code5.build_encoder(0, 10).gates)
-_B_END = len(_HOP) - len(code5.build_decoder(0, 10).gates)
-HOP_ENCODE_A = Circuit(10, _HOP[:_A_END])
-HOP_FAN_ENCODE_B = Circuit(10, _HOP[_A_END:_B_END])
-HOP_DECODE_A = Circuit(10, _HOP[_B_END:])
-TELEPORT_TWO_QUBIT_GATES = build_teleport_circuit().two_qubit_gate_count()
+_HOP = build_teleport_circuit()
+_A_END = len(code5.build_encoder(0))
+HOP_ENCODE_A = _HOP[:_A_END]
+HOP_FAN_ENCODE_B = _HOP[_A_END:]
+HOP_DECODE_A = code5.build_decoder(0)
+TELEPORT_TWO_QUBIT_GATES = two_qubit_gate_count(_HOP)
 
 
 def h_rz_product(psi, xis) -> np.ndarray:
@@ -288,34 +274,21 @@ def push_through_check(n_random: int = 20, seed: int = 0,
 # -- horseshoe (four-register linear cluster) --------------------------------------
 
 
-def build_horseshoe_circuit() -> Circuit:
+def build_horseshoe_circuit() -> list[Gate]:
     """Chain construction: encode, fan, encode, ... (51 two-qubit gates)."""
-    c = Circuit(20)
-    c.extend(code5.build_encoder(0, 20).gates)
-    for hub, src in ((5, 0), (10, 5), (15, 10)):
+    c = code5.build_encoder(0)
+    for hub in (5, 10, 15):
         if hub != 15:
             c.append(H(hub))
-        for q in range(src, src + 5):
-            c.append(CZ(q, hub))
-        c.extend(code5.build_encoder(hub, 20).gates)
+        c += _fan(hub - 5, hub) + code5.build_encoder(hub)
     return c
 
 
-def build_horseshoe_fig_order_circuit() -> Circuit:
+def build_horseshoe_fig_order_circuit() -> list[Gate]:
     """Endpoint-first construction: encode A and D, bridge the hubs, fan."""
-    c = Circuit(20)
-    c.extend(code5.build_encoder(0, 20).gates)
-    c.extend(code5.build_encoder(15, 20).gates)
-    c.append(H(5))
-    c.append(H(10))
-    c.append(CZ(5, 10))
-    for q in range(5):
-        c.append(CZ(q, 5))
-    for q in range(15, 20):
-        c.append(CZ(q, 10))
-    c.extend(code5.build_encoder(5, 20).gates)
-    c.extend(code5.build_encoder(10, 20).gates)
-    return c
+    return (code5.build_encoder(0) + code5.build_encoder(15)
+            + [H(5), H(10), CZ(5, 10)] + _fan(0, 5) + _fan(15, 10)
+            + code5.build_encoder(5) + code5.build_encoder(10))
 
 
 def build_horseshoe_logical(mode: str = "tableau"):
@@ -329,7 +302,7 @@ def build_horseshoe_logical(mode: str = "tableau"):
         init = ["0"] * 20
         init[0] = "+"
         init[15] = "+"
-        return circuit, run_gates(Tableau.initialized(20, init), circuit.gates)
+        return circuit, run_gates(Tableau.initialized(20, init), circuit)
     if mode == "dense":
         plus1 = np.array([1, 1], dtype=complex) / math.sqrt(2)
         zero4 = np.zeros(16, dtype=complex)
@@ -361,8 +334,8 @@ def horseshoe_intermediate(psi: tuple[complex, complex],
     hubs = np.zeros(4, dtype=complex)
     hubs[0] = 1
     st = StateVector(12, np.kron(np.kron(amps_a, hubs), amps_d))
-    svsim.run_circuit(st, code5.build_encoder(0, 12))
-    svsim.run_circuit(st, code5.build_encoder(7, 12))
+    svsim.run_circuit(st, code5.build_encoder(0))
+    svsim.run_circuit(st, code5.build_encoder(7))
     svsim.apply(st, H(5))
     svsim.apply(st, H(6))
     svsim.apply(st, CZ(5, 6))
@@ -383,10 +356,10 @@ def nine_gate_graph() -> Graph:
     return Graph.from_edges(10, edges)
 
 
-def nine_gate_entangler() -> tuple[Circuit, int]:
+def nine_gate_entangler() -> tuple[list[Gate], int]:
     """The nine-gate graph's circuit and its entangling-gate count."""
-    c = Circuit(10, nine_gate_graph().cz_gates())
-    return c, c.two_qubit_gate_count()
+    c = nine_gate_graph().cz_gates()
+    return c, two_qubit_gate_count(c)
 
 
 def k55_graph() -> Graph:

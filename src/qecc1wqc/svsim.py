@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Gate
 from .pauli import PauliString
 
 MAX_QUBITS = 24
@@ -260,8 +260,8 @@ def extract_pure(state: StateVector, subset) -> StateVector:
     return sub
 
 
-def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply the circuit's gates in order."""
-    for g in circuit.gates:
+def run_circuit(state: StateVector, gates: list[Gate]) -> StateVector:
+    """Apply ``gates`` in order."""
+    for g in gates:
         apply(state, g)
     return state

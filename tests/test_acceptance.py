@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_qubit
 from qecc1wqc import code5, harness, protocols, svsim
-from qecc1wqc.circuit import CZ
+from qecc1wqc.circuit import CZ, two_qubit_gate_count
 from qecc1wqc.lattice import run_hop, verify_schedule
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.tableau import Tableau
@@ -89,8 +89,8 @@ def test_criterion_4_push_through():
 
 
 def test_criterion_5_gate_counts():
-    teleport = protocols.build_teleport_circuit().two_qubit_gate_count()
-    horseshoe = protocols.build_horseshoe_circuit().two_qubit_gate_count()
+    teleport = two_qubit_gate_count(protocols.build_teleport_circuit())
+    horseshoe = two_qubit_gate_count(protocols.build_horseshoe_circuit())
     entangler = protocols.nine_gate_entangler()[1]
     ops = {name: verify_schedule(name, seed=5).global_cz_steps
            for name in ("E1_lattice", "E2_lattice", "GHZ6_lattice", "LP_full")}

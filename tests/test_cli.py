@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -236,6 +238,24 @@ def test_usage_error_honours_output_flags_after_subcommand(tmp_path, capsys):
     assert json.loads(out.read_text()) == {
         "schema": "1", "ok": False,
         "error": "qecc1wqc lattice: argument --seed: expected a non-negative integer, got 'y'"}
+
+
+def test_unwritable_json_path_reported_after_run(tmp_path, capsys):
+    """A report that cannot be written is an error report on stdout and
+    exit 2, not a traceback and not a failed property (exit 1)."""
+    code, payload = _error_report(capsys, ["lcs2", "--json", str(tmp_path)])
+    assert code == 2
+    assert payload == {"schema": "1", "ok": False,
+                       "error": f"cannot write --json {tmp_path}: {os.strerror(errno.EISDIR)}"}
+
+
+def test_unwritable_json_path_reported_after_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "err.json"
+    code, payload = _error_report(capsys, ["--seed", "x", "--json", str(out), "lcs2"])
+    assert code == 2
+    assert payload == {"schema": "1", "ok": False,
+                       "error": f"cannot write --json {out}: {os.strerror(errno.ENOENT)}"}
+    assert not out.parent.exists()
 
 
 def test_teleport_renormalises_slightly_off_amplitudes(capsys):

@@ -170,6 +170,5 @@ def test_unprotected_window_is_weakly_tolerant():
     output, so the failure rate at weight <= 1 is nonzero."""
     oracle = harness.exhaustive_failure_oracle(seed=21, stage="after_encode_a")
     assert oracle["weights"]["1"]["failures"] > 0
-    rep = harness.run_depolarizing(0.05, 3000, seed=22, oracle=oracle,
-                                   unprotected=True)
+    rep = harness.run_depolarizing(0.05, 3000, seed=22, oracle=oracle)
     assert rep.details["within_5_sigma"]

@@ -458,17 +458,21 @@ def test_hop_random_seeds():
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 130), data=st.data())
 def test_frame_cz_layer_matches_per_pair_conjugation(n, data):
-    from qecc1wqc.pauli import PauliString, conjugate_cz_layer, conjugate_pauli
+    """The frame's ``conjugate_cz_layer`` agrees with the tableau's
+    separately written byte-column kernel on a row that holds the Pauli."""
+    from qecc1wqc.pauli import PauliString, conjugate_cz_layer
+    from qecc1wqc.tableau import _int_row
 
     bits = st.integers(0, 2**n - 1)
     p = PauliString(n, data.draw(bits), data.draw(bits), data.draw(st.integers(0, 3)))
     qubit = st.integers(0, n - 1)
     pairs = data.draw(st.lists(st.tuples(qubit, qubit).filter(lambda ab: ab[0] != ab[1]),
                                max_size=60))
-    want = p
-    for a, b in pairs:
-        want = conjugate_pauli(want, CZ(a, b))
-    assert conjugate_cz_layer(p, pairs) == want
+    t = Tableau.initialized(n)
+    words = t.x.shape[1]
+    t.x[0], t.z[0], t.ph[0] = _int_row(p.x, words), _int_row(p.z, words), p.phase
+    t.apply_cz_layer(pairs)
+    assert conjugate_cz_layer(p, pairs) == t.row_pauli(0)
 
 
 def test_horseshoe_tableau_call_budget(monkeypatch):

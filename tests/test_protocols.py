@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_qubit
 from qecc1wqc import code5, protocols, svsim
-from qecc1wqc.circuit import CZ
+from qecc1wqc.circuit import CZ, two_qubit_gate_count
 from qecc1wqc.graphs import graph_to_tableau, tableau_to_graph
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.svsim import StateVector
@@ -45,14 +45,13 @@ def test_lcs2_graph_degrees_all_seven():
 
 def test_lcs2_graph_matches_circuit_tableau():
     circuit, _, graph = protocols.build_LCS2()
-    t = run_gates(Tableau.initialized(10, "+" * 10), circuit.gates)
+    t = run_gates(Tableau.initialized(10, "+" * 10), circuit)
     back, layer = tableau_to_graph(t)
     assert back.edges == graph.edges and layer == []
 
 
 def test_lcs2_cz_order_permutation_invariant(rng):
-    circuit, state, _ = protocols.build_LCS2()
-    gates = circuit.gates
+    gates, state, _ = protocols.build_LCS2()
     for _ in range(3):
         order = rng.permutation(len(gates))
         shuffled = svsim.init(10, "+" * 10)
@@ -80,9 +79,9 @@ def test_lcs2_sequential_vs_graph_circuit_frame():
     on both registers; the sequential route lands exactly on the
     alpha|0L>|+L> + beta|1L>|-L> form for a |+> input."""
     seq_circuit = protocols.build_teleport_circuit()
-    assert seq_circuit.two_qubit_gate_count() == 23
+    assert two_qubit_gate_count(seq_circuit) == 23
     graph_circuit = protocols.build_LCS2()[0]
-    assert graph_circuit.two_qubit_gate_count() == 35
+    assert two_qubit_gate_count(graph_circuit) == 35
 
     seq = svsim.init(10, "+000000000")
     svsim.run_circuit(seq, seq_circuit)
@@ -169,13 +168,13 @@ def test_teleport_intermediate_state_eq19(rng):
     amps = np.zeros(1024, dtype=complex)
     amps[0], amps[512] = alpha, beta
     state = svsim.from_amplitudes(amps)
-    svsim.run_circuit(state, code5.build_encoder(0, 10))
+    svsim.run_circuit(state, code5.build_encoder(0))
     from qecc1wqc.circuit import H
     svsim.apply(state, H(5))
     for n in range(5):
         svsim.apply(state, CZ(n, 5))
-    svsim.run_circuit(state, code5.build_encoder(5, 10))
-    svsim.run_circuit(state, code5.build_decoder(0, 10))
+    svsim.run_circuit(state, code5.build_encoder(5))
+    svsim.run_circuit(state, code5.build_decoder(0))
     for q in range(1, 5):
         rec, _ = svsim.measure(state, q, "Z", forced=0)
         assert rec.probability > 1 - 1e-9
@@ -223,8 +222,8 @@ def test_push_through_identity_holds():
 
 
 def test_horseshoe_gate_counts():
-    assert protocols.build_horseshoe_circuit().two_qubit_gate_count() == 51
-    assert protocols.build_horseshoe_fig_order_circuit().two_qubit_gate_count() == 47
+    assert two_qubit_gate_count(protocols.build_horseshoe_circuit()) == 51
+    assert two_qubit_gate_count(protocols.build_horseshoe_fig_order_circuit()) == 47
 
 
 def test_horseshoe_graph_degrees():
@@ -238,7 +237,7 @@ def test_horseshoe_chain_equals_endpoint_first_order():
     """The 51-gate chain circuit and the endpoint-first construction agree."""
     def run(circuit):
         init = (["+"] + ["0"] * 4) * 4
-        return run_gates(Tableau.initialized(20, init), circuit.gates)
+        return run_gates(Tableau.initialized(20, init), circuit)
 
     a = run(protocols.build_horseshoe_circuit())
     b = run(protocols.build_horseshoe_fig_order_circuit())
@@ -293,6 +292,6 @@ def test_entangler_certificate_verified():
 
 def test_nine_gate_circuit_builds_its_graph():
     circuit, _ = protocols.nine_gate_entangler()
-    t = run_gates(Tableau.initialized(10, "+" * 10), circuit.gates)
+    t = run_gates(Tableau.initialized(10, "+" * 10), circuit)
     g, layer = tableau_to_graph(t)
     assert g.edges == protocols.nine_gate_graph().edges and layer == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_state_vector
 from qecc1wqc import code5, svsim
-from qecc1wqc.circuit import CZ, GATE_KINDS, Circuit, Gate, H, RZ
+from qecc1wqc.circuit import CZ, GATE_KINDS, Gate, H, RZ
 from qecc1wqc.pauli import PauliString
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import Tableau
@@ -162,7 +162,7 @@ def test_measurement_statistics_within_5_sigma(rng):
 
 def test_replay_with_recorded_outcomes_is_bitwise(rng):
     def run(forced):
-        s = svsim.run_circuit(svsim.init(3, "0+0"), Circuit(3, [H(0), CZ(0, 1), H(1)]))
+        s = svsim.run_circuit(svsim.init(3, "0+0"), [H(0), CZ(0, 1), H(1)])
         first, _ = svsim.measure(s, 1, "Z", rng=rng, forced=forced[0])
         svsim.apply(s, CZ(1, 2))
         second, _ = svsim.measure(s, 0, "X", rng=rng, forced=forced[1])

@@ -429,8 +429,8 @@ def _measured_clifford_tableau(n, seed):
     rng = np.random.default_rng(seed)
     t = Tableau.initialized(n, list(rng.choice(["0", "+"], size=n)))
     for _ in range(3):
-        for _ in range(n):
-            t.apply(CZ(*(int(q) for q in rng.choice(n, size=2, replace=False))))
+        t.apply_cz_layer([tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+                          for _ in range(n)])
         for q in range(n):
             t.apply(Gate(str(rng.choice(_ONE_QUBIT)), (q,)))
     for q in rng.choice(n, size=4, replace=False):
