@@ -108,7 +108,7 @@ def code_stabilizers() -> list[PauliString]:
 # -- circuits -----------------------------------------------------------------
 
 
-def _encoder_layers(offset: int) -> list[list[Gate]]:
+def encoder_layers(offset: int = 0) -> list[list[Gate]]:
     """The encoder on qubits offset..offset+4 as five layers, each of
     commuting self-inverse gates: H on all five, the star CZs, H on the
     centre, Z on all five (together E1), then the pentagon (E2)."""
@@ -125,22 +125,22 @@ def build_E1(offset: int = 0) -> list[Gate]:
 
     Maps |psi>|0000> to ((alpha-beta)|+>^5 + (alpha+beta)|->^5)/sqrt(2).
     """
-    return [g for layer in _encoder_layers(offset)[:4] for g in layer]
+    return [g for layer in encoder_layers(offset)[:4] for g in layer]
 
 
 def build_E2(offset: int = 0) -> list[Gate]:
     """Pentagon of CZ gates (the five-cycle entangler)."""
-    return _encoder_layers(offset)[4]
+    return encoder_layers(offset)[4]
 
 
 def build_encoder(offset: int = 0) -> list[Gate]:
-    return [g for layer in _encoder_layers(offset) for g in layer]
+    return [g for layer in encoder_layers(offset) for g in layer]
 
 
 def build_decoder(offset: int = 0) -> list[Gate]:
     """Adjoint of the encoder: its layers in reverse order.  A layer of
     commuting self-inverse gates is its own adjoint."""
-    return [g for layer in reversed(_encoder_layers(offset)) for g in layer]
+    return [g for layer in reversed(encoder_layers(offset)) for g in layer]
 
 
 def encode(psi: tuple[complex, complex]) -> StateVector:
@@ -223,18 +223,14 @@ def correction_for(syndrome: str) -> PauliString:
     return _CORRECTION_FOR_RESIDUAL[correction_label_for(syndrome)]
 
 
-def error_operator(label: str, n: int = 5, offset: int = 0) -> PauliString:
-    """Pauli for a table label like 'X3', 'Z1', 'X4Z4' (1-based qubits)."""
+def error_operator(label: str) -> PauliString:
+    """Five-qubit Pauli for a table label like 'X3', 'Z1', 'X4Z4' (1-based qubits)."""
     if label == "I":
-        return PauliString.identity(n)
-    q = int(label[1]) - 1 + offset
-    p = PauliString.identity(n)
-    if label[0] == "X":
-        p = compose_pauli(p, PauliString.single(n, q, "X"))
-    else:
-        p = compose_pauli(p, PauliString.single(n, q, "Z"))
+        return PauliString.identity(5)
+    q = int(label[1]) - 1
+    p = PauliString.single(5, q, label[0])
     if len(label) == 4:
-        p = compose_pauli(p, PauliString.single(n, q, "Z"))
+        p = compose_pauli(p, PauliString.single(5, q, "Z"))
     return p
 
 

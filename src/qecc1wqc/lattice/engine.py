@@ -16,13 +16,13 @@ X measurements and finished by a Y measurement of the last ancilla, a
 deterministic S^dag on both endpoints, and Z_u Z_v when the Y outcome is 1.
 
 Each step is as few tableau operations as the physics allows.  The CZs of
-a global layer commute, so a layer is one ``Tableau.apply_cz_layer`` call
-(a distant CZ path is another); the cells a step prepares start in |0>,
-fresh or reset after a measurement, and take their symbol gates in one
-masked pass; chain cells are measured in X and Y directly, without
-conjugating gates.
+a global layer commute, so a layer is one ``Tableau.apply_cz_layer`` call;
+the cells a step prepares start in |0>, fresh or reset after a
+measurement, and take their symbol gates in one masked pass; chain cells
+are measured in X and Y directly, without conjugating gates.
 
-Every created edge is recorded, with the global layer that created it,
+Global layers are the only way to make an edge.  Every created edge is
+recorded, with the global layer that created it,
 until a chain consumes it.  A chain edge must have been created exactly
 once, and a measured interior cell may carry no other edge, so a schedule
 whose layers link the wrong cells fails as it runs instead of leaving a
@@ -56,7 +56,7 @@ class OpCountReport:
     global_cz_steps: int = 0
     measured_ancillae: int = 0
     local_layers: int = 0
-    distant_cz_ops: int = 0
+    distant_cz_ops: int = 0   # always 0, kept for the pinned report schema
 
 
 @dataclass
@@ -125,8 +125,8 @@ class Lattice:
         self.ever_measured: set[tuple[int, int]] = set()
         self.frame = PauliString(0)   # byproducts on the tableau qubits
         # created edges not yet consumed by a chain -> the global layers
-        # (0-based) that created them; None stands for a distant_cz path
-        self.pending: dict[tuple, list[int | None]] = {}
+        # (0-based) that created them
+        self.pending: dict[tuple, list[int]] = {}
         self.counts = OpCountReport()
         self._rng = np.random.default_rng()
 
@@ -232,15 +232,6 @@ class Lattice:
                 self._apply(Gate(kind, (self.qubit(rc),)))
         self.counts.local_layers += 1
 
-    def _entangle(self, pairs, layer: int | None) -> None:
-        """CZ on every pair of cells at once, on the state and the frame;
-        each edge is recorded as created by ``layer``."""
-        qubit_pairs = [(self.qubit(a), self.qubit(b)) for a, b in pairs]
-        self.tab.apply_cz_layer(qubit_pairs)
-        self.frame = conjugate_cz_layer(self.frame, qubit_pairs)
-        for a, b in pairs:
-            self.pending.setdefault(_edge(a, b), []).append(layer)
-
     def adjacent_active_pairs(self, axis: str):
         dr, dc = (1, 0) if axis.startswith("v") else (0, 1)
         pairs = []
@@ -251,11 +242,17 @@ class Lattice:
         return sorted(pairs)
 
     def global_cz(self, axis: str) -> list:
-        """One global entangling layer along an axis; returns created edges."""
+        """One global entangling layer along an axis: CZ on every pair of
+        adjacent active cells at once, on the state and the frame.  Each
+        edge is recorded as created by this layer; returns the edges."""
         if axis not in ("vertical", "horizontal", "v", "h"):
             raise LatticeError(f"bad axis {axis!r}")
         pairs = self.adjacent_active_pairs(axis)
-        self._entangle(pairs, self.counts.global_cz_steps)
+        qubit_pairs = [(self.qubit(a), self.qubit(b)) for a, b in pairs]
+        self.tab.apply_cz_layer(qubit_pairs)
+        self.frame = conjugate_cz_layer(self.frame, qubit_pairs)
+        for a, b in pairs:
+            self.pending.setdefault(_edge(a, b), []).append(self.counts.global_cz_steps)
         self.counts.global_cz_steps += 1
         return pairs
 
@@ -330,23 +327,6 @@ class Lattice:
             self._clear_frame(self.qubit(rc))
         self.counts.measured_ancillae += k
         return outcomes
-
-    def distant_cz(self, u, v, path_interior, forced: list[int] | None = None) -> list[int]:
-        """Self-contained distant CZ: entangle a fresh |+> path, measure it.
-
-        The interior must have even length; the odd-interior alternative
-        needs a manual Hadamard on an endpoint and is not supported here.
-        """
-        interior = [tuple(rc) for rc in path_interior]
-        if len(interior) % 2 != 0:
-            raise LatticeError("distant CZ requires an even number of interior ancillae")
-        _check_forced(forced, len(interior))
-        chain = Chain(tuple(u), tuple(v), interior)
-        chain.validate_geometry()
-        self.prepare([(rc, "+") for rc in interior])
-        self._entangle(chain.edges(), None)
-        self.counts.distant_cz_ops += 1
-        return self.measure_chain(chain, forced=forced)
 
     def measure_data(self, rc, basis: str, forced: int | None = None) -> int:
         return self._measure_frame_corrected(tuple(rc), basis, forced)

@@ -1,11 +1,12 @@
 """Full teleportation hop on the lattice: decode A while encoding B.
 
-The hop reuses the wheel stages: after the hub fan, the pentagon layer of
-A's decoder shares its two global layers with B's E1, and A's E1 adjoint
-shares the next two with B's E2.  Both E layers are CZ chains, so the
-adjoint stages use the same chain geometry with the single-qubit dressing
-reversed.  The sequential mode runs the same stages without sharing, which
-costs four extra global layers.
+The hop runs LP_full, which encodes A and fans it onto B's centre, then
+the wheel stages: the pentagon layer of A's decoder shares its two global
+layers with B's E1, and A's E1 adjoint shares the next two with B's E2.
+The adjoint is E1's layers reversed, compiled like any other stage, so it
+has the same chain geometry with the single-qubit dressing reversed.  The
+sequential mode runs the same stages without sharing, which costs four
+extra global layers.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from dataclasses import dataclass
 
 from .. import code5
 from .engine import LatticeError
-from .layouts import (GRID_ROWS, Chains, GlobalCZ, Local, Prepare, Schedule,
-                      e1_adjoint_stage_steps, e1_stage_steps, e2_stage_steps,
-                      fan_stage_steps, run_schedule, wheel_cells)
+from .layouts import (E1, E1_ADJOINT, E2, GRID_ROWS, Chains, GlobalCZ, Local,
+                      Prepare, Schedule, run_schedule, schedule_LP_full, wheel_cells,
+                      wheel_stage)
 from .verify import target_tableau, verify_lattice_against
 
 HOP_GRID = (GRID_ROWS, 35)
 A_BASE = 0
 B_BASE = 18
-HUB = (8, 26)  # = B register center
 
 
 @dataclass
@@ -85,14 +85,11 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     data = {k: a_cells[k] for k in a_cells}
     data.update({str(int(k) + 5): b_cells[k] for k in b_cells})
 
-    prep_steps = (e1_stage_steps([A_BASE], fresh=[A_BASE])
-                  + e2_stage_steps([A_BASE]))
-
-    fan = fan_stage_steps(HUB, -1, prep_hub=True)
-    a_dec_e2 = e2_stage_steps([A_BASE])
-    a_dec_e1 = e1_adjoint_stage_steps([A_BASE])
-    b_enc_e1 = e1_stage_steps([B_BASE])
-    b_enc_e2 = e2_stage_steps([B_BASE])
+    lp = schedule_LP_full()
+    a_dec_e2 = wheel_stage(E2, [A_BASE])
+    a_dec_e1 = wheel_stage(E1_ADJOINT, [A_BASE])
+    b_enc_e1 = wheel_stage(E1, [B_BASE], ".0000")
+    b_enc_e2 = wheel_stage(E2, [B_BASE])
 
     regions_disjoint = True
     for sa, sb in ((a_dec_e2, b_enc_e1), (a_dec_e1, b_enc_e2)):
@@ -104,12 +101,12 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
             raise LatticeError(
                 "decode and encode ancilla regions overlap; registers must "
                 "be well-separated to share global layers")
-        hop_steps = (fan + _merge_stages(a_dec_e2, b_enc_e1)
+        hop_steps = (_merge_stages(a_dec_e2, b_enc_e1)
                      + _merge_stages(a_dec_e1, b_enc_e2))
     else:
-        hop_steps = fan + a_dec_e2 + a_dec_e1 + b_enc_e1 + b_enc_e2
+        hop_steps = a_dec_e2 + a_dec_e1 + b_enc_e1 + b_enc_e2
 
-    sched = Schedule(f"hop_{mode}", HOP_GRID, data, prep_steps + hop_steps,
+    sched = Schedule(f"hop_{mode}", HOP_GRID, data, lp.steps + hop_steps,
                      4 + (7 if mode == "simultaneous" else 11))
     lat = run_schedule(sched, seed=seed)
     prep_ops = 4

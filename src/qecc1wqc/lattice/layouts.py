@@ -8,7 +8,9 @@ adjacent, so a global layer never links data directly.  Wheels repeat every
 18 columns; the hub of a register doubles as the fan target of its western
 neighbor.
 
-Stage structure per the global-layer budget:
+The encoder stages are compiled from ``code5.encoder_layers`` by
+:func:`wheel_stage`: each CZ becomes a chain, each run of single-qubit
+layers one local step.  Stage structure per the global-layer budget:
 
   E1   vertical + horizontal     (4 star chains, all even interior)
   E2   vertical + horizontal     (5 pentagon chains; the three arm-to-arm
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .. import code5
 from .engine import Chain, Lattice, LatticeError
 
 GRID_ROWS = 18
@@ -40,8 +43,12 @@ ARM_N = (3, 8)
 ARM_E = (8, 13)
 ARM_S = (13, 8)
 
-NAMED_SCHEDULES = ("E1_lattice", "E2_lattice", "GHZ6_lattice", "LP_full",
-                   "horseshoe_lattice")
+# The encoder on register qubits 0..4 (``code5.encoder_layers``): E1 is
+# the dressed star, E2 the pentagon.  Each layer holds commuting
+# self-inverse gates, so E1's adjoint is its layers in reverse order.
+_ENCODER = code5.encoder_layers()
+E1, E2 = _ENCODER[:4], _ENCODER[4:]
+E1_ADJOINT = E1[::-1]
 
 Cell = tuple[int, int]
 
@@ -116,25 +123,24 @@ def _row(r: int, c_from: int, c_to: int) -> list[tuple[int, int]]:
     return [(r, c) for c in range(c_from, c_to + step, step)]
 
 
-def e1_chains(base: int) -> list[Chain]:
-    w = wheel_cells(base)
-    center = w["1"]
-    return [Chain(center, w["2"], _straight(center, w["2"])),
-            Chain(center, w["3"], _straight(center, w["3"])),
-            Chain(center, w["4"], _straight(center, w["4"])),
-            Chain(center, w["5"], _straight(center, w["5"]))]
+# Interiors of the three arm-to-arm pentagon chains of the wheel at base
+# column 0, keyed by register qubits as in ``code5``; each bends round a
+# corner of the square of arms.
+_BENT = {
+    (1, 2): _col(7, 3, 3) + _row(3, 4, 7),
+    (2, 3): _row(3, 9, 13) + _col(4, 7, 13),
+    (3, 4): _col(9, 13, 13) + _row(13, 12, 9),
+}
 
 
-def e2_chains(base: int) -> list[Chain]:
-    w = wheel_cells(base)
-    b = base
-    return [
-        Chain(w["1"], w["2"], _straight(w["1"], w["2"])),
-        Chain(w["2"], w["3"], _col(7, 3, b + 3) + _row(3, b + 4, b + 7)),
-        Chain(w["3"], w["4"], _row(3, b + 9, b + 13) + _col(4, 7, b + 13)),
-        Chain(w["4"], w["5"], _col(9, 13, b + 13) + _row(13, b + 12, b + 9)),
-        Chain(w["5"], w["1"], _straight(w["5"], w["1"])),
-    ]
+def wheel_chain(base: int, a: int, b: int) -> Chain:
+    """The chain that carries CZ(a, b) between register qubits a and b
+    (0-based, as in ``code5``) of the wheel at ``base``: straight when
+    their cells share a row or column, else a bent pentagon route."""
+    cells = list(wheel_cells(base).values())
+    if (a, b) in _BENT:
+        return Chain(cells[a], cells[b], [(r, base + c) for r, c in _BENT[a, b]])
+    return Chain(cells[a], cells[b], _straight(cells[a], cells[b]))
 
 
 def fan_geometry(hub: tuple[int, int], direction: int):
@@ -191,62 +197,47 @@ def _interiors(chains: list[Chain]) -> list[tuple[int, int]]:
     return out
 
 
-def e1_stage_steps(bases: list[int], fresh=()) -> list[Step]:
-    """Dressed E1 layer for one or more registers sharing the two global layers.
+def _local_ops(layers, cells) -> list[tuple[Cell, list[str]]]:
+    """Single-qubit gate layers as the ops of one ``Local`` step: each
+    cell's gates in layer order."""
+    ops: dict[Cell, list[str]] = {}
+    for layer in layers:
+        for g in layer:
+            ops.setdefault(cells[g.targets[0]], []).append(g.kind)
+    return list(ops.items())
 
-    The centers of the registers in ``fresh`` are newly prepared in |+>;
-    the other centers are live and kept untouched.
+
+def wheel_stage(layers, bases: list[int], data: str = "") -> list[Step]:
+    """Gate layers of one register, compiled onto the wheels at ``bases``,
+    which share the stage's two global layers.
+
+    ``layers`` act on register qubits 0..4, as ``code5.encoder_layers``
+    gives them, and hold one CZ layer: each of its CZs becomes a chain
+    (:func:`wheel_chain`), and the single-qubit layers before and after it
+    become one ``Local`` step each.  ``data`` holds prepare symbols for the
+    register qubits in order, "." leaving a live qubit alone; each wheel
+    prepares its data cells first, then its chain interiors in |+>.
     """
+    cz = next(i for i, layer in enumerate(layers) if len(layer[0].targets) == 2)
     prep: list = []
     chains: list[Chain] = []
-    locals_pre = []
-    locals_post = []
+    pre: list = []
+    post: list = []
     for base in bases:
-        w = wheel_cells(base)
-        if base in fresh:
-            prep += _prep([w["1"]], "+")
-        prep += _prep([w[k] for k in "2345"], "0")
-        chs = e1_chains(base)
-        chains += chs
+        cells = list(wheel_cells(base).values())
+        prep += [(rc, sym) for rc, sym in zip(cells, data) if sym != "."]
+        chs = [wheel_chain(base, *g.targets) for g in layers[cz]]
         prep += _prep(_interiors(chs), "+")
-        locals_pre += [(w[k], ["H"]) for k in "12345"]
-        locals_post += [(w["1"], ["H", "Z"])]
-        locals_post += [(w[k], ["Z"]) for k in "2345"]
-    return [Prepare(prep), Local(locals_pre), GlobalCZ("vertical"),
-            GlobalCZ("horizontal"), Chains(chains), Local(locals_post)]
-
-
-def e1_adjoint_stage_steps(bases: list[int]) -> list[Step]:
-    """Adjoint of the dressed E1 layer (decoder half)."""
-    locals_pre = []
-    locals_post = []
-    prep: list = []
-    chains: list[Chain] = []
-    for base in bases:
-        w = wheel_cells(base)
-        locals_pre += [(w[k], ["Z"]) for k in "2345"]
-        locals_pre += [(w["1"], ["Z", "H"])]
-        locals_post += [(w[k], ["H"]) for k in "12345"]
-        chs = e1_chains(base)
         chains += chs
-        prep += _prep(_interiors(chs), "+")
-    return [Local(locals_pre), Prepare(prep), GlobalCZ("vertical"),
-            GlobalCZ("horizontal"), Chains(chains), Local(locals_post)]
-
-
-def e2_stage_steps(bases: list[int], extra_chains: list[Chain] = (),
-                   extra_prep: list = ()) -> list[Step]:
-    prep: list = list(extra_prep)
-    chains: list[Chain] = []
-    for base in bases:
-        chs = e2_chains(base)
-        chains += chs
-        prep += _prep(_interiors(chs), "+")
-    chains = chains + list(extra_chains)
-    for ch in extra_chains:
-        prep += _prep(ch.interior, "+")
-    return [Prepare(prep), GlobalCZ("vertical"), GlobalCZ("horizontal"),
-            Chains(chains)]
+        pre += _local_ops(layers[:cz], cells)
+        post += _local_ops(layers[cz + 1:], cells)
+    steps: list[Step] = [Prepare(prep)]
+    if pre:
+        steps.append(Local(pre))
+    steps += [GlobalCZ("vertical"), GlobalCZ("horizontal"), Chains(chains)]
+    if post:
+        steps.append(Local(post))
+    return steps
 
 
 def fan_stage_steps(hub: tuple[int, int], direction: int,
@@ -285,21 +276,15 @@ def fan_stage_steps(hub: tuple[int, int], direction: int,
 
 
 def schedule_E1() -> Schedule:
-    w = wheel_cells(0)
-    chains = e1_chains(0)
-    steps = [
-        Prepare(_prep(w.values(), "+") + _prep(_interiors(chains), "+")),
-        GlobalCZ("vertical"),
-        GlobalCZ("horizontal"),
-        Chains(chains),
-    ]
-    return Schedule("E1_lattice", (GRID_ROWS, 17), w, steps, 2)
+    """The star alone: E1's CZ layer on |+>^5."""
+    return Schedule("E1_lattice", (GRID_ROWS, 17), wheel_cells(0),
+                    wheel_stage(E1[1:2], [0], "+++++"), 2)
 
 
 def schedule_E2() -> Schedule:
-    w = wheel_cells(0)
-    return Schedule("E2_lattice", (GRID_ROWS, 17), w,
-                    e2_stage_steps([0], extra_prep=_prep(w.values(), "+")), 2)
+    """The pentagon on |+>^5."""
+    return Schedule("E2_lattice", (GRID_ROWS, 17), wheel_cells(0),
+                    wheel_stage(E2, [0], "+++++"), 2)
 
 
 def schedule_GHZ6() -> Schedule:
@@ -314,8 +299,8 @@ def schedule_LP_full() -> Schedule:
     w = wheel_cells(0)
     hub = (8, 26)
     steps: list[Step] = []
-    steps += e1_stage_steps([0], fresh=[0])
-    steps += e2_stage_steps([0])
+    steps += wheel_stage(E1, [0], "+0000")
+    steps += wheel_stage(E2, [0])
     steps += fan_stage_steps(hub, -1, prep_hub=True)
     return Schedule("LP_full", (GRID_ROWS, 29), {**w, "6": hub}, steps, 7)
 
@@ -330,16 +315,18 @@ def schedule_horseshoe() -> Schedule:
     hub_c = (8, 44)
     bridge = Chain(hub_b, hub_c,
                    [(9, 26), (10, 26)] + _row(10, 27, 43) + [(10, 44), (9, 44)])
+    ends, middle = [bases["A"], bases["D"]], [bases["B"], bases["C"]]
     steps: list[Step] = []
-    steps += e1_stage_steps([bases["A"], bases["D"]],
-                            fresh=[bases["A"], bases["D"]])
-    steps += e2_stage_steps([bases["A"], bases["D"]],
-                            extra_chains=[bridge],
-                            extra_prep=_prep([hub_b, hub_c], "+"))
+    steps += wheel_stage(E1, ends, "+0000")
+    # the hub-to-hub bridge shares the two global layers of A's and D's E2
+    prep, *layers, chains = wheel_stage(E2, ends)
+    steps += [Prepare(_prep([hub_b, hub_c], "+") + prep.cells
+                      + _prep(bridge.interior, "+")),
+              *layers, Chains(chains.chains + [bridge])]
     steps += fan_stage_steps(hub_b, -1, prep_hub=False,
                              more_fans=[(hub_c, +1)])
-    steps += e1_stage_steps([bases["B"], bases["C"]])
-    steps += e2_stage_steps([bases["B"], bases["C"]])
+    steps += wheel_stage(E1, middle, ".0000")
+    steps += wheel_stage(E2, middle)
     return Schedule("horseshoe_lattice", (GRID_ROWS, 72), cells, steps, 11)
 
 
@@ -350,6 +337,8 @@ _BUILDERS = {
     "LP_full": schedule_LP_full,
     "horseshoe_lattice": schedule_horseshoe,
 }
+
+NAMED_SCHEDULES = tuple(_BUILDERS)
 
 
 def build_schedule(name: str) -> Schedule:
@@ -400,12 +389,14 @@ def _is_cell(obj) -> bool:
 
 
 def _cell_entries(kind: str, entries) -> list:
-    """[[row, col, x], ...] -> [((row, col), x), ...]; a local x is a gate list."""
+    """[[row, col, x], ...] -> [((row, col), x), ...]; a local x is a list
+    of gate names."""
     out = []
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3
                 and _is_cell(entry[:2])
-                and (kind == "prepare" or isinstance(entry[2], list))):
+                and (kind == "prepare" or (isinstance(entry[2], list)
+                                           and all(isinstance(g, str) for g in entry[2])))):
             shape = "symbol" if kind == "prepare" else "[gates]"
             raise LatticeError(f"{kind} entry {entry!r} is not [row, col, {shape}]")
         out.append((tuple(entry[:2]), entry[2]))

@@ -16,16 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import code5, protocols
-from ..circuit import Gate
-from ..graphs import Graph
 from ..pauli import PauliString
 from ..tableau import Tableau, run_gates
 from .engine import Lattice, LatticeError
 from .layouts import build_schedule, run_schedule
-
-
-def _star(n: int, hub: int) -> list[Gate]:
-    return Graph.from_edges(n, [(hub, q) for q in range(n) if q != hub]).cz_gates()
 
 
 def _labels(first: int, last: int) -> tuple[str, ...]:
@@ -35,9 +29,9 @@ def _labels(first: int, last: int) -> tuple[str, ...]:
 # Reference states: schedule name -> (initial symbols, circuit, data-label
 # order).  The circuits are the protocol builders the schedules compile.
 REFERENCES = {
-    "E1_lattice": ("+++++", _star(5, 0), _labels(1, 5)),
+    "E1_lattice": ("+++++", code5.encoder_layers()[1], _labels(1, 5)),
     "E2_lattice": ("+++++", code5.build_E2(), _labels(1, 5)),
-    "GHZ6_lattice": ("++++++", _star(6, 5), _labels(1, 6)),
+    "GHZ6_lattice": ("++++++", protocols.fan(0, 5), _labels(1, 6)),
     "LP_full": ("+00000", protocols.build_logical_physical_circuit(), _labels(1, 6)),
     "horseshoe_lattice": ("+0000" + "0" * 10 + "+0000",
                           protocols.build_horseshoe_fig_order_circuit(), _labels(1, 20)),

@@ -67,14 +67,14 @@ def build_LCS2() -> tuple[list[Gate], StateVector, Graph]:
 # -- logical-physical cluster state -------------------------------------------
 
 
-def _fan(register: int, hub: int) -> list[Gate]:
+def fan(register: int, hub: int) -> list[Gate]:
     """CZ from each qubit of the register starting at ``register`` onto ``hub``."""
     return [CZ(q, hub) for q in range(register, register + 5)]
 
 
 def build_logical_physical_circuit() -> list[Gate]:
     """Encode qubits 0..4, then fan them onto the hub qubit 5."""
-    return code5.build_encoder(0) + [H(5)] + _fan(0, 5)
+    return code5.build_encoder(0) + [H(5)] + fan(0, 5)
 
 
 def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
@@ -90,7 +90,7 @@ def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
 def pentagon_logical_physical() -> StateVector:
     """Pentagon route: (|-L>|0>_6 + |+L>|1>_6)/sqrt(2), exactly."""
     state = svsim.init(6, "++++++")
-    return svsim.run_circuit(state, _fan(0, 5) + code5.build_E2())
+    return svsim.run_circuit(state, fan(0, 5) + code5.build_E2())
 
 
 # -- encoded teleportation ------------------------------------------------------
@@ -155,7 +155,7 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
                      rng=None) -> TeleportReport:
     """Full encoded teleportation from register A to register B.
 
-    ``injected_error`` is a Pauli on the five A qubits (width 5 or 10).  In
+    ``injected_error`` is a Pauli on the five A qubits.  In
     the protected stage (after both registers are entangled and encoded,
     before the decoder) any weight-1 error is corrected exactly.  Errors in
     other stages can leak onto B; the report records the resulting fidelity
@@ -166,10 +166,10 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
     if rng is None:
         rng = np.random.default_rng()
     err = injected_error
-    if err is not None and err.n == 5:
+    if err is not None:
+        if err.n != 5:
+            raise ValueError(f"injected error must act on the 5 A qubits, got {err.n}")
         err = PauliString(10, err.x, err.z, err.phase)
-    elif err is not None and err.n != 10:
-        raise ValueError("injected error must act on 5 or 10 qubits")
     alpha, beta = psi
 
     amps = np.zeros(1024, dtype=complex)
@@ -280,14 +280,14 @@ def build_horseshoe_circuit() -> list[Gate]:
     for hub in (5, 10, 15):
         if hub != 15:
             c.append(H(hub))
-        c += _fan(hub - 5, hub) + code5.build_encoder(hub)
+        c += fan(hub - 5, hub) + code5.build_encoder(hub)
     return c
 
 
 def build_horseshoe_fig_order_circuit() -> list[Gate]:
     """Endpoint-first construction: encode A and D, bridge the hubs, fan."""
     return (code5.build_encoder(0) + code5.build_encoder(15)
-            + [H(5), H(10), CZ(5, 10)] + _fan(0, 5) + _fan(15, 10)
+            + [H(5), H(10), CZ(5, 10)] + fan(0, 5) + fan(15, 10)
             + code5.build_encoder(5) + code5.build_encoder(10))
 
 

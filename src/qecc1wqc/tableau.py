@@ -283,8 +283,9 @@ class Tableau:
                  + 2 * int(np.count_nonzero(_sign_flips(before, xs[1:])))) % 4
         return np.bitwise_xor.reduce(xs, axis=0), np.bitwise_xor.reduce(zs, axis=0), phase
 
-    def _measure(self, q: int, basis: str, rng, forced: int | None):
-        """Measure the Pauli ``basis`` (X, Y or Z) on qubit q.
+    def measure(self, q: int, basis: str, rng=None, forced: int | None = None):
+        """Measure the Pauli ``basis`` (X, Y or Z) on qubit q.  Returns
+        (outcome, deterministic); outcome 0 is the +1 eigenstate (|+i> for Y).
 
         The rows that anticommute with it are those with bit q set in z
         (X), x (Z) or x ^ z (Y).  A random outcome o turns the pivot
@@ -292,6 +293,8 @@ class Tableau:
         Y = i XZ); a deterministic outcome is read off the product of the
         stabilizer partners of the anticommuting destabilizers.
         """
+        if basis not in ("Z", "X", "Y"):
+            raise ValueError(f"tableau measurement supports Z/X/Y, not {basis!r}")
         n = self.n
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
@@ -338,26 +341,10 @@ class Tableau:
                 f"forced outcome {forced} contradicts deterministic value {outcome}")
         return outcome, True
 
-    def measure_z(self, q: int, rng=None, forced: int | None = None):
-        """Measure Z on qubit q.  Returns (outcome, deterministic)."""
-        return self._measure(q, "Z", rng, forced)
-
-    def measure_x(self, q: int, rng=None, forced: int | None = None):
-        return self._measure(q, "X", rng, forced)
-
-    def measure_y(self, q: int, rng=None, forced: int | None = None):
-        """Outcome 0 is the +i eigenstate."""
-        return self._measure(q, "Y", rng, forced)
-
-    def measure(self, q: int, basis: str, rng=None, forced: int | None = None):
-        if basis in ("Z", "X", "Y"):
-            return self._measure(q, basis, rng, forced)
-        raise ValueError(f"tableau measurement supports Z/X/Y, not {basis!r}")
-
     def reset_to_zero(self, q: int, rng=None) -> None:
         """Collapse qubit q and leave it in |0>.  Caller must ensure it is
         disentangled (e.g. just measured); the collapse itself is projective."""
-        outcome, _ = self.measure_z(q, rng=rng)
+        outcome, _ = self.measure(q, "Z", rng=rng)
         if outcome == 1:
             self.apply(Gate("X", (q,)))
 

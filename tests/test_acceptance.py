@@ -123,7 +123,7 @@ def test_criterion_7_lattice_schedules_and_distant_cz():
                             "LP_full", "horseshoe_lattice")}
     schedules_ok = all(r.ok for r in results.values())
 
-    from qecc1wqc.lattice import Lattice
+    from qecc1wqc.lattice import Chain, Lattice
     target = Tableau.initialized(2, "++")
     target.apply(CZ(0, 1))
     gadget_ok = True
@@ -131,10 +131,11 @@ def test_criterion_7_lattice_schedules_and_distant_cz():
         cols = interior_len + 2
         for forced in itertools.product([0, 1], repeat=interior_len):
             lat = Lattice(1, cols, {"u": (0, 0), "v": (0, cols - 1)})
-            lat.prepare([((0, 0), "+"), ((0, cols - 1), "+")])
-            lat.distant_cz((0, 0), (0, cols - 1),
-                           [(0, c) for c in range(1, cols - 1)],
-                           forced=list(forced))
+            lat.prepare([((0, c), "+") for c in range(cols)])
+            lat.global_cz("horizontal")
+            lat.measure_chain(Chain((0, 0), (0, cols - 1),
+                                    [(0, c) for c in range(1, cols - 1)]),
+                              forced=list(forced))
             if not lat.data_subtableau(["u", "v"]).stab_equal(target):
                 gadget_ok = False
     ok = schedules_ok and gadget_ok

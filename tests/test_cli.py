@@ -119,6 +119,12 @@ def _set_step(index, step):
     return mutate
 
 
+def _insert_step(index, step):
+    def mutate(sched):
+        sched["steps"].insert(index, step)
+    return mutate
+
+
 def _drop_chain_v(sched):
     del sched["steps"][-1]["chains"][0]["v"]
 
@@ -137,11 +143,15 @@ def _bad_symbol(sched):
     (_bad_symbol, "E2_lattice step 0: cell (8, 8): unknown prepare symbol 'q'"),
     (_set_step(0, {"prepare": [[0, 0]]}),
      "E2_lattice step 0: prepare entry [0, 0] is not [row, col, symbol]"),
+    (_insert_step(1, {"local": [[8, 8, [["H"]]]]}),
+     "E2_lattice step 1: local entry [8, 8, [['H']]] is not [row, col, [gates]]"),
+    (_insert_step(1, {"local": [[8, 8, [{"k": 1}]]]}),
+     "E2_lattice step 1: local entry [8, 8, [{'k': 1}]] is not [row, col, [gates]]"),
     (lambda s: s.update(name=["E2"]), "schedule name must be a string, got ['E2']"),
     (lambda s: s["data_cells"].update({"1": [99, 0]}),
      "E2_lattice: data_cells: cell (99, 0) outside the grid"),
 ], ids=["steps", "grid", "global_cz", "chain_v", "data_cells", "symbol", "prepare_entry",
-        "name", "data_cell_outside"])
+        "local_gate_list", "local_gate_object", "name", "data_cell_outside"])
 def test_malformed_schedule_file_rejected(tmp_path, capsys, mutate, expected):
     sched = schedule_json(build_schedule("E2_lattice"))
     mutate(sched)

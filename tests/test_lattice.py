@@ -14,7 +14,8 @@ from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
-from qecc1wqc.lattice.layouts import Chains, GlobalCZ, Local, Prepare, Schedule
+from qecc1wqc.lattice.layouts import (E1, E1_ADJOINT, GRID_ROWS, Chains, GlobalCZ, Local,
+                                      Prepare, Schedule, wheel_cells, wheel_stage)
 from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import EntangledError, Tableau, run_gates
@@ -74,11 +75,13 @@ def test_prepare_active_cell_rejected():
         lat.prepare([((0, 0), "0")])
 
 
-def test_odd_interior_distant_cz_rejected():
-    lat = Lattice(1, 5, {"u": (0, 0), "v": (0, 4)})
-    lat.prepare([((0, 0), "+"), ((0, 4), "+")])
-    with pytest.raises(LatticeError):
-        lat.distant_cz((0, 0), (0, 4), [(0, 1), (0, 2), (0, 3)])
+def _chain_cz(lat: Lattice, u, v, interior, forced=None) -> list[int]:
+    """CZ on live cells u and v through a path of fresh |+> cells: prepare
+    the path, one global layer per axis, then measure the path out."""
+    lat.prepare([(rc, "+") for rc in interior])
+    lat.global_cz("vertical")
+    lat.global_cz("horizontal")
+    return lat.measure_chain(Chain(u, v, interior), forced=forced)
 
 
 def _expected_cz_tableau() -> Tableau:
@@ -96,14 +99,14 @@ def test_distant_cz_exhaustive_over_outcomes(interior_len):
         lat = Lattice(1, cols, {"u": (0, 0), "v": (0, cols - 1)})
         lat.prepare([((0, 0), "+"), ((0, cols - 1), "+")])
         interior = [(0, c) for c in range(1, cols - 1)]
-        lat.distant_cz((0, 0), (0, cols - 1), interior, forced=list(forced))
+        _chain_cz(lat, (0, 0), (0, cols - 1), interior, forced=list(forced))
         sub = lat.data_subtableau(["u", "v"])
         assert sub.stab_equal(target), forced
 
 
 def test_distant_cz_byproduct_rule_matches_dense():
-    """The recorded frame matches the dense-simulator byproduct for every
-    outcome pattern on a random (non-stabilizer) input pair."""
+    """The frame a chain records matches the dense-simulator byproduct for
+    every outcome pattern on a random (non-stabilizer) input pair."""
     rng = np.random.default_rng(8)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = v / np.linalg.norm(v)
@@ -121,6 +124,13 @@ def test_distant_cz_byproduct_rule_matches_dense():
                 svsim.measure(state, 1 + j, "X", forced=mval)
             zu = sum(forced[1::2]) % 2
             zv = sum(forced[0::2]) % 2
+            lat = Lattice(1, n)
+            lat.prepare([((0, 0), "+"), ((0, n - 1), "+")])
+            _chain_cz(lat, (0, 0), (0, n - 1), [(0, c) for c in range(1, n - 1)],
+                      forced=list(forced))
+            qu, qv = lat.qubit((0, 0)), lat.qubit((0, n - 1))
+            assert (lat.frame.z_bit(qu), lat.frame.z_bit(qv)) == (zu, zv)
+            assert lat.frame.x == 0
             if zu:
                 svsim.apply(state, Gate("Z", (0,)))
             if zv:
@@ -137,12 +147,12 @@ def test_distant_cz_longer_path_sampled():
     rng = np.random.default_rng(40)
     target = _expected_cz_tableau()
     for trial in range(12):
-        forced = [int(b) for b in rng.integers(0, 2, size=6)]
+        forced = [int(b) for b in rng.integers(0, 2, size=8)]
         lat = Lattice(2, 8, {"u": (0, 0), "v": (0, 7)})
         lat.prepare([((0, 0), "+"), ((0, 7), "+")])
         interior = [(0, 1), (1, 1), (1, 2), (1, 3), (0, 3), (0, 4), (0, 5), (0, 6)]
         # 8 interior cells on a bent path
-        lat.distant_cz((0, 0), (0, 7), interior, forced=forced + [0, 0])
+        _chain_cz(lat, (0, 0), (0, 7), interior, forced=forced)
         assert lat.data_subtableau(["u", "v"]).stab_equal(target)
 
 
@@ -175,7 +185,7 @@ def test_triangle_of_odd_chains_composes():
 def test_measured_ancillae_disentangled():
     lat = Lattice(1, 4, {"u": (0, 0), "v": (0, 3)})
     lat.prepare([((0, 0), "+"), ((0, 3), "+")])
-    lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
+    _chain_cz(lat, (0, 0), (0, 3), [(0, 1), (0, 2)])
     for c in (1, 2):
         lat.tab.restricted([lat.qubit((0, c))])  # raises EntangledError if not
 
@@ -272,7 +282,7 @@ def test_large_grid_costs_only_prepared_cells():
 def test_cell_keeps_its_qubit_when_reprepared():
     lat = Lattice(1, 4, {"u": (0, 0), "v": (0, 3)})
     lat.prepare([((0, 0), "+"), ((0, 3), "+")])
-    lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
+    _chain_cz(lat, (0, 0), (0, 3), [(0, 1), (0, 2)])
     qubits = [lat.qubit((0, c)) for c in range(4)]
     lat.prepare([((0, 1), "0")])
     assert lat.n == 4 and [lat.qubit((0, c)) for c in range(4)] == qubits
@@ -428,6 +438,18 @@ def test_named_schedule_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_SHA256[name]
 
 
+def test_e1_adjoint_stage_undoes_e1_stage():
+    """The stage compiled from E1's layers in reverse order undoes E1's
+    stage: a fresh wheel in |+0000> comes back to |+0000>."""
+    steps = wheel_stage(E1, [0], "+0000") + wheel_stage(E1_ADJOINT, [0])
+    sched = Schedule("round_trip", (GRID_ROWS, 17), wheel_cells(0), steps, 4)
+    target = Tableau.initialized(5, "+0000")
+    for seed in range(3):
+        lat = run_schedule(sched, seed=seed)
+        res = verify_lattice_against(lat, target, list("12345"), "round_trip")
+        assert res.ok, res.diagnostic
+
+
 # -- hop -------------------------------------------------------------------------------
 
 
@@ -495,7 +517,7 @@ def test_prepared_cells_hold_their_symbols():
     for seed in range(6):
         lat = Lattice(2, 4).seed(seed)
         lat.prepare([((0, 0), "+"), ((0, 3), "+")])
-        lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)])
+        _chain_cz(lat, (0, 0), (0, 3), [(0, 1), (0, 2)])
         cells = {(0, 1): "1", (0, 2): "-", (1, 0): "+", (1, 1): "1"}
         lat.prepare(list(cells.items()))
         for rc, sym in cells.items():
@@ -506,26 +528,18 @@ def test_prepared_cells_hold_their_symbols():
             assert lat.frame.x_bit(q) == lat.frame.z_bit(q) == 0
 
 
-@pytest.mark.parametrize("forced,error,message", [
-    ([0, 5], ValueError, "must be 0 or 1, got 5"),
-    ([0], LatticeError, "forced has 1 outcomes for 2 interior cells"),
-], ids=["outcome_5", "short"])
-def test_distant_cz_checks_forced_before_acting(forced, error, message):
-    lat = Lattice(1, 4, {"u": (0, 0), "v": (0, 3)})
-    lat.prepare([((0, 0), "+"), ((0, 3), "+")])
-    with pytest.raises(error, match=message):
-        lat.distant_cz((0, 0), (0, 3), [(0, 1), (0, 2)], forced=forced)
-    assert lat.n == 2 and lat.active == {(0, 0), (0, 3)} and not lat.pending
-
-
-def test_measure_chain_checks_forced_length_before_measuring():
+@pytest.mark.parametrize("forced,message", [
+    ([1], "forced has 1 outcomes for 2 interior cells"),
+    ([0, 5], "forced outcomes must be 0 or 1, got 5"),
+], ids=["short", "outcome_5"])
+def test_measure_chain_checks_forced_length_before_measuring(forced, message):
     lat = Lattice(1, 4)
     lat.prepare([((0, c), "+") for c in range(4)])
     lat.global_cz("h")
     chain = Chain((0, 0), (0, 3), [(0, 1), (0, 2)])
     before = (lat.tab.x.tobytes(), lat.tab.z.tobytes(), lat.tab.ph.tobytes())
-    with pytest.raises(LatticeError, match="forced has 1 outcomes for 2 interior cells"):
-        lat.measure_chain(chain, forced=[1])
+    with pytest.raises(LatticeError, match=message):
+        lat.measure_chain(chain, forced=forced)
     assert (lat.tab.x.tobytes(), lat.tab.z.tobytes(), lat.tab.ph.tobytes()) == before
     assert len(lat.pending) == 3 and len(lat.active) == 4
     assert len(lat.measure_chain(chain, forced=[1, 0])) == 2
@@ -538,7 +552,7 @@ def test_reprepare_matches_reset_then_gates_cell_by_cell():
     def measured_lattice():
         lat = Lattice(1, 8).seed(11)
         lat.prepare([((0, 0), "+"), ((0, 7), "+")])
-        lat.distant_cz((0, 0), (0, 7), [(0, c) for c in range(1, 7)])
+        _chain_cz(lat, (0, 0), (0, 7), [(0, c) for c in range(1, 7)])
         return lat
 
     cells = [((0, 4), "-"), ((0, 1), "1"), ((0, 6), "+"), ((0, 2), "0"), ((0, 3), "-")]
@@ -599,8 +613,8 @@ def data_registers(draw):
         target.ph[m + int(rng.integers(0, m))] ^= 2
     elif kind == "replaced":
         q = int(rng.integers(0, m))
-        if target.measure_x(q, rng=rng)[1]:
-            target.measure_z(q, rng=rng)
+        if target.measure(q, "X", rng=rng)[1]:
+            target.measure(q, "Z", rng=rng)
     return state, data, target, kind == "true" and not entangled
 
 

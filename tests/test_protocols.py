@@ -208,6 +208,14 @@ def test_teleport_weight_two_fails(rng):
     assert rep.fidelity <= 0.99
 
 
+def test_teleport_takes_only_a_five_qubit_error(rng):
+    """The injected error is a Pauli on register A; a two-register-wide one
+    is rejected before anything runs."""
+    with pytest.raises(ValueError, match="must act on the 5 A qubits, got 10"):
+        protocols.encoded_teleport((0.6, 0.8), 0.5,
+                                   injected_error=PauliString.single(10, 2, "X"), rng=rng)
+
+
 # -- push-through --------------------------------------------------------------------
 
 

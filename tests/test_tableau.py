@@ -52,7 +52,7 @@ def test_hadamard_all_swaps_graph_stabilizers():
 
 def test_measure_plus_in_x_is_deterministic():
     t = Tableau.initialized(1, ["+"])
-    outcome, deterministic = t.measure_x(0)
+    outcome, deterministic = t.measure(0, "X")
     assert outcome == 0 and deterministic
 
 
@@ -63,16 +63,16 @@ def test_bell_pair_z_measurement_collapses_consistently():
     t.apply(CZ(0, 1))
     t.apply(H(1))  # now |00> + |11>
     rng = np.random.default_rng(5)
-    o1, det1 = t.measure_z(0, rng=rng)
+    o1, det1 = t.measure(0, "Z", rng=rng)
     assert not det1
-    o2, det2 = t.measure_z(1, rng=rng)
+    o2, det2 = t.measure(1, "Z", rng=rng)
     assert det2 and o2 == o1
 
 
 def test_forced_contradiction_raises():
     t = Tableau.initialized(1, ["+"])
     with pytest.raises(ForcedOutcomeError):
-        t.measure_x(0, forced=1)
+        t.measure(0, "X", forced=1)
 
 
 def test_path_interior_measurement_vs_dense():
@@ -83,8 +83,8 @@ def test_path_interior_measurement_vs_dense():
         t = Tableau.initialized(4, "++++")
         for a, b in ((0, 1), (1, 2), (2, 3)):
             t.apply(CZ(a, b))
-        o1, _ = t.measure_x(1, forced=m1)
-        o2, _ = t.measure_x(2, forced=m2)
+        o1, _ = t.measure(1, "X", forced=m1)
+        o2, _ = t.measure(2, "X", forced=m2)
         # byproduct: Z_u^{m2} Z_v^{m1} relative to plain CZ on (0, 3)
         if o2:
             t.apply(Gate("Z", (0,)))
@@ -148,7 +148,7 @@ def test_canonical_stabilizers_are_reduced_and_equivalent():
 def test_measure_y_eigenstate():
     t = Tableau.initialized(1, ["+"])
     t.apply(S(0))  # |+i>
-    outcome, deterministic = t.measure_y(0)
+    outcome, deterministic = t.measure(0, "Y")
     assert deterministic and outcome == 0
 
 
@@ -171,7 +171,7 @@ def test_z_parity_statistics_match_dense(rng):
         seed_rng = np.random.default_rng((7, k))
         sv_rng = np.random.default_rng((7, k))
         for q in range(n):
-            o, _ = t.measure_z(q, rng=seed_rng)
+            o, _ = t.measure(q, "Z", rng=seed_rng)
             pt ^= o
             rec, _ = svsim.measure(s, q, "Z", rng=sv_rng)
             ps ^= rec.outcome
@@ -301,7 +301,7 @@ def test_long_path_measurement_crosses_words():
         t.apply(CZ(a, a + 1))
     outs = []
     for q in range(1, n - 1):
-        o, det = t.measure_x(q, forced=int(rng.integers(0, 2)))
+        o, det = t.measure(q, "X", forced=int(rng.integers(0, 2)))
         assert not det
         outs.append(o)
     if sum(outs[1::2]) % 2:
@@ -313,7 +313,7 @@ def test_long_path_measurement_crosses_words():
         assert t.stabilizes(p)
     for q in (1, 63, 64, 65, 128):
         t.restricted([q])  # raises EntangledError if q is not disentangled
-        assert t.measure_x(q) == (outs[q - 1], True)
+        assert t.measure(q, "X") == (outs[q - 1], True)
 
 
 def _random_clifford_tableau(n, rng, gates=200):
@@ -480,7 +480,7 @@ def _conjugated_measure(t: Tableau, q: int, basis: str, rng, forced):
     for Y, a Z measurement, and the inverse rotation."""
     rotate = [H(q)] if basis == "X" else [Gate("SDG", (q,)), H(q)]
     run_gates(t, rotate)
-    out = t.measure_z(q, rng=rng, forced=forced)
+    out = t.measure(q, "Z", rng=rng, forced=forced)
     run_gates(t, [H(q)] if basis == "X" else [H(q), S(q)])
     return out
 
@@ -512,12 +512,26 @@ def test_native_xy_measurement_matches_conjugated_reference(n, seed, steps):
         assert _rows_bytes(t) == rows == _rows_bytes(ref)
 
 
+@pytest.mark.parametrize("q,basis,forced,message", [
+    (3, "Q", None, "supports Z/X/Y, not 'Q'"),
+    (70, "X", None, "qubit 70 out of range for n=70"),
+    (-1, "Z", None, "qubit -1 out of range"),
+    (3, "Y", 2, "forced outcome must be 0 or 1, got 2"),
+], ids=["basis", "qubit_n", "qubit_negative", "forced"])
+def test_measure_rejects_bad_input_before_any_change(q, basis, forced, message):
+    t = _measured_clifford_tableau(70, 4)
+    before = _rows_bytes(t)
+    with pytest.raises(ValueError, match=message):
+        t.measure(q, basis, rng=np.random.default_rng(0), forced=forced)
+    assert _rows_bytes(t) == before
+
+
 def test_native_xy_measurement_applies_no_gate(monkeypatch):
     t = _measured_clifford_tableau(70, 2)
     monkeypatch.setattr(Tableau, "apply", lambda self, g: pytest.fail(f"applied {g}"))
     for q in range(0, 70, 7):
-        t.measure_x(q, rng=np.random.default_rng(q))
-        t.measure_y(q + 1, rng=np.random.default_rng(q))
+        t.measure(q, "X", rng=np.random.default_rng(q))
+        t.measure(q + 1, "Y", rng=np.random.default_rng(q))
 
 
 _SYMBOL_GATES = {"0": [], "1": ["X"], "+": ["H"], "-": ["X", "H"]}
