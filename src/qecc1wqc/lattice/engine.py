@@ -122,7 +122,6 @@ class Lattice:
         for rc in self.data_cells.values():
             self._check_cell(rc)
         self.active: set[tuple[int, int]] = set()
-        self.ever_measured: set[tuple[int, int]] = set()
         self.frame = PauliString(0)   # byproducts on the tableau qubits
         # created edges not yet consumed by a chain -> the global layers
         # (0-based) that created them
@@ -202,6 +201,8 @@ class Lattice:
             if str(sym) not in INIT_SYMBOLS:
                 raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
             seen.add(rc)
+        # only measure_chain releases a cell, so a cell with a qubit was measured
+        measured = [self._qubits[rc] for rc, _ in cells if rc in self._qubits]
         new = [rc for rc, _ in cells if rc not in self._qubits]
         if self.n + len(new) > MAX_CELLS:
             raise LatticeError(
@@ -212,9 +213,8 @@ class Lattice:
                 self.cells.append(rc)
             f = self.frame
             self.frame = PauliString(self.n, f.x, f.z, f.phase)
-        for rc, _ in cells:
-            if rc in self.ever_measured:
-                self.tab.reset_to_zero(self._qubits[rc], rng=self._rng)
+        for q in measured:
+            self.tab.reset_to_zero(q, rng=self._rng)
         self.tab.apply_symbol_gates([self._qubits[rc] for rc, _ in cells],
                                     [sym for _, sym in cells])
         for rc, _ in cells:
@@ -323,7 +323,6 @@ class Lattice:
 
         for rc in interior:
             self.active.discard(rc)
-            self.ever_measured.add(rc)
             self._clear_frame(self.qubit(rc))
         self.counts.measured_ancillae += k
         return outcomes

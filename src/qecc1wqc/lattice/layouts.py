@@ -10,7 +10,9 @@ neighbor.
 
 The encoder stages are compiled from ``code5.encoder_layers`` by
 :func:`wheel_stage`: each CZ becomes a chain, each run of single-qubit
-layers one local step.  Stage structure per the global-layer budget:
+layers one local step.  Wheels that share a stage's global layers are
+compiled by one call, as are fans by :func:`fan_stage`.  Stage structure
+per the global-layer budget:
 
   E1   vertical + horizontal     (4 star chains, all even interior)
   E2   vertical + horizontal     (5 pentagon chains; the three arm-to-arm
@@ -94,6 +96,13 @@ def wheel_cells(base: int) -> dict[str, tuple[int, int]]:
         "4": (ARM_E[0], base + ARM_E[1]),
         "5": (ARM_S[0], base + ARM_S[1]),
     }
+
+
+def register_cells(bases: list[int]) -> dict[str, Cell]:
+    """Data cells of the wheels at ``bases``, labelled 1..5, 6..10, ...
+    in order."""
+    return {str(5 * i + j): rc for i, base in enumerate(bases)
+            for j, rc in enumerate(wheel_cells(base).values(), start=1)}
 
 
 def _straight(u: tuple[int, int], v: tuple[int, int]) -> list[tuple[int, int]]:
@@ -207,23 +216,25 @@ def _local_ops(layers, cells) -> list[tuple[Cell, list[str]]]:
     return list(ops.items())
 
 
-def wheel_stage(layers, bases: list[int], data: str = "") -> list[Step]:
-    """Gate layers of one register, compiled onto the wheels at ``bases``,
-    which share the stage's two global layers.
+def wheel_stage(wheels) -> list[Step]:
+    """Gate layers compiled onto wheels that share the stage's two global
+    layers; ``wheels`` holds one (layers, base, data) per wheel.
 
-    ``layers`` act on register qubits 0..4, as ``code5.encoder_layers``
-    gives them, and hold one CZ layer: each of its CZs becomes a chain
-    (:func:`wheel_chain`), and the single-qubit layers before and after it
-    become one ``Local`` step each.  ``data`` holds prepare symbols for the
-    register qubits in order, "." leaving a live qubit alone; each wheel
-    prepares its data cells first, then its chain interiors in |+>.
+    Each wheel's ``layers`` act on its register qubits 0..4, as
+    ``code5.encoder_layers`` gives them, and hold one CZ layer: each of its
+    CZs becomes a chain (:func:`wheel_chain`), and the single-qubit layers
+    before and after it join the stage's two ``Local`` steps.  ``data``
+    holds prepare symbols for the register qubits in order, "." leaving a
+    live qubit alone; each wheel prepares its data cells first, then its
+    chain interiors in |+>.  Wheels that overlap fail when the stage runs:
+    a cell is prepared twice, or a global layer links two wheels.
     """
-    cz = next(i for i, layer in enumerate(layers) if len(layer[0].targets) == 2)
     prep: list = []
     chains: list[Chain] = []
     pre: list = []
     post: list = []
-    for base in bases:
+    for layers, base, data in wheels:
+        cz = next(i for i, layer in enumerate(layers) if len(layer[0].targets) == 2)
         cells = list(wheel_cells(base).values())
         prep += [(rc, sym) for rc, sym in zip(cells, data) if sym != "."]
         chs = [wheel_chain(base, *g.targets) for g in layers[cz]]
@@ -240,11 +251,9 @@ def wheel_stage(layers, bases: list[int], data: str = "") -> list[Step]:
     return steps
 
 
-def fan_stage_steps(hub: tuple[int, int], direction: int,
-                    prep_hub: bool, more_fans=()) -> list[Step]:
-    """Three-layer fan stage; ``more_fans`` merges additional (hub,
-    direction) fans into the same global layers."""
-    fans = [(hub, direction)] + list(more_fans)
+def fan_stage(fans, prep_hub: bool) -> list[Step]:
+    """Three-layer fan stage of the (hub, direction) ``fans``, which share
+    its global layers (see :func:`fan_geometry`)."""
     first: list[Chain] = []
     second: list[Chain] = []
     early: list = []
@@ -258,8 +267,7 @@ def fan_stage_steps(hub: tuple[int, int], direction: int,
         late += l
         prep += _prep(_interiors(f1), "+")
     if prep_hub:
-        for h, _ in fans:
-            prep += _prep([h], "+")
+        prep += _prep([h for h, _ in fans], "+")
     prep += _prep(early, "+")
     return [
         Prepare(prep),
@@ -278,20 +286,20 @@ def fan_stage_steps(hub: tuple[int, int], direction: int,
 def schedule_E1() -> Schedule:
     """The star alone: E1's CZ layer on |+>^5."""
     return Schedule("E1_lattice", (GRID_ROWS, 17), wheel_cells(0),
-                    wheel_stage(E1[1:2], [0], "+++++"), 2)
+                    wheel_stage([(E1[1:2], 0, "+++++")]), 2)
 
 
 def schedule_E2() -> Schedule:
     """The pentagon on |+>^5."""
     return Schedule("E2_lattice", (GRID_ROWS, 17), wheel_cells(0),
-                    wheel_stage(E2, [0], "+++++"), 2)
+                    wheel_stage([(E2, 0, "+++++")]), 2)
 
 
 def schedule_GHZ6() -> Schedule:
     w = wheel_cells(0)
     hub = (8, 26)
     steps = [Prepare(_prep(w.values(), "+"))]
-    steps += fan_stage_steps(hub, -1, prep_hub=True)
+    steps += fan_stage([(hub, -1)], prep_hub=True)
     return Schedule("GHZ6_lattice", (GRID_ROWS, 29), {**w, "6": hub}, steps, 3)
 
 
@@ -299,34 +307,28 @@ def schedule_LP_full() -> Schedule:
     w = wheel_cells(0)
     hub = (8, 26)
     steps: list[Step] = []
-    steps += wheel_stage(E1, [0], "+0000")
-    steps += wheel_stage(E2, [0])
-    steps += fan_stage_steps(hub, -1, prep_hub=True)
+    steps += wheel_stage([(E1, 0, "+0000")])
+    steps += wheel_stage([(E2, 0, "")])
+    steps += fan_stage([(hub, -1)], prep_hub=True)
     return Schedule("LP_full", (GRID_ROWS, 29), {**w, "6": hub}, steps, 7)
 
 
 def schedule_horseshoe() -> Schedule:
-    bases = {"A": 0, "B": 18, "C": 36, "D": 54}
-    cells: dict[str, Cell] = {}
-    for reg, offset in (("A", 0), ("B", 5), ("C", 10), ("D", 15)):
-        for k, rc in wheel_cells(bases[reg]).items():
-            cells[str(int(k) + offset)] = rc
-    hub_b = (8, 26)
-    hub_c = (8, 44)
+    a, b, c, d = 0, 18, 36, 54
+    cells = register_cells([a, b, c, d])
+    hub_b, hub_c = cells["6"], cells["11"]
     bridge = Chain(hub_b, hub_c,
                    [(9, 26), (10, 26)] + _row(10, 27, 43) + [(10, 44), (9, 44)])
-    ends, middle = [bases["A"], bases["D"]], [bases["B"], bases["C"]]
     steps: list[Step] = []
-    steps += wheel_stage(E1, ends, "+0000")
+    steps += wheel_stage([(E1, a, "+0000"), (E1, d, "+0000")])
     # the hub-to-hub bridge shares the two global layers of A's and D's E2
-    prep, *layers, chains = wheel_stage(E2, ends)
+    prep, *layers, chains = wheel_stage([(E2, a, ""), (E2, d, "")])
     steps += [Prepare(_prep([hub_b, hub_c], "+") + prep.cells
                       + _prep(bridge.interior, "+")),
               *layers, Chains(chains.chains + [bridge])]
-    steps += fan_stage_steps(hub_b, -1, prep_hub=False,
-                             more_fans=[(hub_c, +1)])
-    steps += wheel_stage(E1, middle, ".0000")
-    steps += wheel_stage(E2, middle)
+    steps += fan_stage([(hub_b, -1), (hub_c, +1)], prep_hub=False)
+    steps += wheel_stage([(E1, b, ".0000"), (E1, c, ".0000")])
+    steps += wheel_stage([(E2, b, ""), (E2, c, "")])
     return Schedule("horseshoe_lattice", (GRID_ROWS, 72), cells, steps, 11)
 
 
@@ -353,11 +355,13 @@ def load_schedule(name_or_path: str) -> Schedule:
     if name_or_path in _BUILDERS:
         return build_schedule(name_or_path)
     try:
-        with open(name_or_path) as fh:
+        with open(name_or_path, encoding="utf-8") as fh:
             sched = json.load(fh)
     except OSError as exc:
         raise LatticeError(
             f"cannot read schedule {name_or_path!r}: {exc.strerror}") from exc
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise LatticeError(f"cannot parse schedule {name_or_path!r}: {exc}") from exc
     if not isinstance(sched, dict):
         raise LatticeError(f"{name_or_path}: a schedule must be a JSON object")
     missing = [k for k in ("name", *_FIELDS) if k not in sched]

@@ -113,6 +113,19 @@ def test_missing_schedule_file_rejected(tmp_path, capsys):
     assert not payload["ok"] and "missing.json" in payload["error"]
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"[1,2", "Expecting ',' delimiter"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unparsable_schedule_file_rejected(tmp_path, capsys, content, reason):
+    """A schedule file that is not JSON, or not UTF-8, is named in the error."""
+    path = tmp_path / "sched.json"
+    path.write_bytes(content)
+    code, payload = _error_report(capsys, ["lattice", "run", "--schedule", str(path)])
+    assert code == 2
+    assert payload["error"].startswith(f"cannot parse schedule {str(path)!r}: {reason}")
+
+
 def _set_step(index, step):
     def mutate(sched):
         sched["steps"][index] = step

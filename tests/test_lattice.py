@@ -14,8 +14,8 @@ from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
-from qecc1wqc.lattice.layouts import (E1, E1_ADJOINT, GRID_ROWS, Chains, GlobalCZ, Local,
-                                      Prepare, Schedule, wheel_cells, wheel_stage)
+from qecc1wqc.lattice.layouts import (E1, E1_ADJOINT, E2, GRID_ROWS, Chains, GlobalCZ,
+                                      Local, Prepare, Schedule, wheel_cells, wheel_stage)
 from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import EntangledError, Tableau, run_gates
@@ -441,13 +441,27 @@ def test_named_schedule_bytes_pinned(name):
 def test_e1_adjoint_stage_undoes_e1_stage():
     """The stage compiled from E1's layers in reverse order undoes E1's
     stage: a fresh wheel in |+0000> comes back to |+0000>."""
-    steps = wheel_stage(E1, [0], "+0000") + wheel_stage(E1_ADJOINT, [0])
+    steps = wheel_stage([(E1, 0, "+0000")]) + wheel_stage([(E1_ADJOINT, 0, "")])
     sched = Schedule("round_trip", (GRID_ROWS, 17), wheel_cells(0), steps, 4)
     target = Tableau.initialized(5, "+0000")
     for seed in range(3):
         lat = run_schedule(sched, seed=seed)
         res = verify_lattice_against(lat, target, list("12345"), "round_trip")
         assert res.ok, res.diagnostic
+
+
+@pytest.mark.parametrize("wheels, message", [
+    # one wheel twice: its first chain cell is prepared twice
+    ([(E2, 0, "+++++"), (E2, 0, "")], r"step 0: cell \(8, 7\) is active"),
+    # wheels 9 columns apart: A's east arm is a cell of B's west chain
+    ([(E2, 0, "+++++"), (E2, 9, "+++++")], r"step 0: cell \(8, 13\) is active"),
+])
+def test_overlapping_wheels_rejected(wheels, message):
+    """Wheels that share a stage must not overlap: the run fails at the
+    shared prepare, naming the step and the cell."""
+    sched = Schedule("overlap", (GRID_ROWS, 26), {}, wheel_stage(wheels), 2)
+    with pytest.raises(LatticeError, match="^overlap " + message):
+        run_schedule(sched, seed=0)
 
 
 # -- hop -------------------------------------------------------------------------------
