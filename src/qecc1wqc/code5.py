@@ -9,6 +9,8 @@ five-cycle of CZ gates.  The decoder is the exact adjoint; measuring qubits
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from . import svsim
@@ -227,7 +229,11 @@ def error_operator(label: str) -> PauliString:
     """Five-qubit Pauli for a table label like 'X3', 'Z1', 'X4Z4' (1-based qubits)."""
     if label == "I":
         return PauliString.identity(5)
-    q = int(label[1]) - 1
+    match = re.fullmatch(r"[XYZ]([1-5])|X([1-5])Z\2", label)
+    if match is None:
+        raise ValueError(f"bad error label {label!r}: expected I, X/Y/Z on a qubit "
+                         "1..5, or XqZq")
+    q = int(match[1] or match[2]) - 1
     p = PauliString.single(5, q, label[0])
     if len(label) == 4:
         p = compose_pauli(p, PauliString.single(5, q, "Z"))

@@ -96,19 +96,6 @@ _CODE_STABILIZERS = code5.code_stabilizers()
 _LOGICAL_X, _LOGICAL_Z = code5.logical_x(), code5.logical_z()
 
 
-def _tail_circuit(stage: str) -> list:
-    """Gates of the hop that run after an error injected in ``stage``:
-    the decoder on A for ``protected``; the hub fan, the encoder of B and the
-    decoder for ``after_encode_a``.
-    """
-    if stage not in protocols.ERROR_STAGES:
-        raise ValueError(f"unknown error stage {stage!r}")
-    tail = protocols.HOP_DECODE_A
-    if stage == "protected":
-        return tail
-    return protocols.HOP_FAN_ENCODE_B + tail
-
-
 def _propagate(p: PauliString, tail: list) -> PauliString:
     for g in tail:
         p = conjugate_pauli(p, g)
@@ -121,7 +108,9 @@ def _propagated_patterns(stage: str) -> list[tuple[int, int]]:
     Conjugation is linear in the bits, so each pattern is the XOR of the
     images of its X_q and Z_q generators; phases are dropped.
     """
-    tail = _tail_circuit(stage)
+    if stage not in protocols.HOP_TAILS:
+        raise ValueError(f"unknown error stage {stage!r}")
+    tail = protocols.HOP_TAILS[stage]
     frames = [(0, 0)]
     for q in range(5):
         px = _propagate(PauliString.single(10, q, "X"), tail)

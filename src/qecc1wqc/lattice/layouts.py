@@ -6,7 +6,9 @@ ends of length-5 arms (west, north, east, south).  All entangling links are
 chains routed through ancilla corridors; no two live cells are ever grid
 adjacent, so a global layer never links data directly.  Wheels repeat every
 18 columns; the hub of a register doubles as the fan target of its western
-neighbor.
+neighbor.  A route is written as its two ends and the corners where it
+turns: one path primitive (:func:`_path`) lays out every cell between, so a
+chain with no corners is straight.
 
 The encoder stages are compiled from ``code5.encoder_layers`` by
 :func:`wheel_stage`: each CZ becomes a chain, each run of single-qubit
@@ -105,41 +107,28 @@ def register_cells(bases: list[int]) -> dict[str, Cell]:
             for j, rc in enumerate(wheel_cells(base).values(), start=1)}
 
 
-def _straight(u: tuple[int, int], v: tuple[int, int]) -> list[tuple[int, int]]:
-    """Interior cells strictly between two cells sharing a row or column."""
-    (r1, c1), (r2, c2) = u, v
-    cells = []
-    if r1 == r2:
-        step = 1 if c2 > c1 else -1
-        for c in range(c1 + step, c2, step):
-            cells.append((r1, c))
-    elif c1 == c2:
-        step = 1 if r2 > r1 else -1
-        for r in range(r1 + step, r2, step):
-            cells.append((r, c1))
-    else:
-        raise ValueError("cells do not share an axis")
+def _path(*corners: Cell) -> list[Cell]:
+    """Every cell of the axis-aligned path through ``corners``, in order;
+    a repeated corner adds no cell."""
+    cells = list(corners[:1])
+    for (r1, c1), (r2, c2) in zip(corners, corners[1:]):
+        if r1 != r2 and c1 != c2:
+            raise ValueError(f"corners {(r1, c1)} and {(r2, c2)} share no row or column")
+        dr, dc = (r2 > r1) - (r2 < r1), (c2 > c1) - (c2 < c1)
+        cells += [(r1 + k * dr, c1 + k * dc)
+                  for k in range(1, abs(r2 - r1) + abs(c2 - c1) + 1)]
     return cells
 
 
-def _col(r_from: int, r_to: int, c: int) -> list[tuple[int, int]]:
-    step = 1 if r_to >= r_from else -1
-    return [(r, c) for r in range(r_from, r_to + step, step)]
+def _route(u: Cell, *bends: Cell, v: Cell) -> Chain:
+    """The chain from ``u`` to ``v`` that turns at ``bends``."""
+    return Chain(u, v, _path(u, *bends, v)[1:-1])
 
 
-def _row(r: int, c_from: int, c_to: int) -> list[tuple[int, int]]:
-    step = 1 if c_to >= c_from else -1
-    return [(r, c) for c in range(c_from, c_to + step, step)]
-
-
-# Interiors of the three arm-to-arm pentagon chains of the wheel at base
+# Corners of the three arm-to-arm pentagon chains of the wheel at base
 # column 0, keyed by register qubits as in ``code5``; each bends round a
 # corner of the square of arms.
-_BENT = {
-    (1, 2): _col(7, 3, 3) + _row(3, 4, 7),
-    (2, 3): _row(3, 9, 13) + _col(4, 7, 13),
-    (3, 4): _col(9, 13, 13) + _row(13, 12, 9),
-}
+_BENDS = {(1, 2): [(3, 3)], (2, 3): [(3, 13)], (3, 4): [(13, 13)]}
 
 
 def wheel_chain(base: int, a: int, b: int) -> Chain:
@@ -147,9 +136,8 @@ def wheel_chain(base: int, a: int, b: int) -> Chain:
     (0-based, as in ``code5``) of the wheel at ``base``: straight when
     their cells share a row or column, else a bent pentagon route."""
     cells = list(wheel_cells(base).values())
-    if (a, b) in _BENT:
-        return Chain(cells[a], cells[b], [(r, base + c) for r, c in _BENT[a, b]])
-    return Chain(cells[a], cells[b], _straight(cells[a], cells[b]))
+    bends = [(r, base + c) for r, c in _BENDS.get((a, b), [])]
+    return _route(cells[a], *bends, v=cells[b])
 
 
 def fan_geometry(hub: tuple[int, int], direction: int):
@@ -168,31 +156,16 @@ def fan_geometry(hub: tuple[int, int], direction: int):
     def c(offset: int) -> int:
         return hc + direction * offset
 
-    center = (hr, c(18))
-    near_arm = (hr, c(13))
-    north = (3, c(18))
-    south = (13, c(18))
-    far_arm = (hr, c(23))
-
-    to_north = Chain(hub, north,
-                     [(7, hc), (6, hc)] + _row(6, c(1), c(17))
-                     + [(5, c(17)), (4, c(17)), (3, c(17))])
-    to_near = Chain(hub, near_arm, _row(8, c(1), c(12)))
-    to_south = Chain(hub, south,
-                     [(9, hc), (10, hc), (11, hc), (12, hc)]
-                     + _row(12, c(1), c(17)) + [(12, c(18))])
-    to_center = Chain(hub, center,
-                      _col(7, 0, hc) + _row(0, c(1), c(17))
-                      + _col(1, 7, c(17)) + [(8, c(17))])
-    to_far = Chain(hub, far_arm,
-                   _col(9, 16, hc) + _row(16, c(1), c(22))
-                   + _col(15, 9, c(22)) + [(8, c(22))])
-
-    early = ([(0, hc)] + _row(0, c(1), c(17)) + [(8, c(17))]
-             + [(16, hc)] + _row(16, c(1), c(22)) + [(8, c(22))])
-    late = (_col(1, 7, hc) + _col(1, 7, c(17))
-            + _col(9, 15, hc) + _col(9, 15, c(22)))
-    return [to_north, to_near, to_south], [to_center, to_far], early, late
+    first = [_route(hub, (6, hc), (6, c(17)), (3, c(17)), v=(3, c(18))),     # north arm
+             _route(hub, v=(hr, c(13))),                                     # near arm
+             _route(hub, (12, hc), (12, c(18)), v=(13, c(18)))]              # south arm
+    second = [_route(hub, (0, hc), (0, c(17)), (8, c(17)), v=(hr, c(18))),   # centre
+              _route(hub, (16, hc), (16, c(22)), (8, c(22)), v=(hr, c(23)))]  # far arm
+    early = (_path((0, hc), (0, c(17))) + [(8, c(17))]
+             + _path((16, hc), (16, c(22))) + [(8, c(22))])
+    late = (_path((1, hc), (7, hc)) + _path((1, c(17)), (7, c(17)))
+            + _path((9, hc), (15, hc)) + _path((9, c(22)), (15, c(22))))
+    return first, second, early, late
 
 
 def _prep(cells, sym: str) -> list[tuple[Cell, str]]:
@@ -297,7 +270,7 @@ def schedule_E2() -> Schedule:
 
 def schedule_GHZ6() -> Schedule:
     w = wheel_cells(0)
-    hub = (8, 26)
+    hub = wheel_cells(18)["1"]          # B's centre
     steps = [Prepare(_prep(w.values(), "+"))]
     steps += fan_stage([(hub, -1)], prep_hub=True)
     return Schedule("GHZ6_lattice", (GRID_ROWS, 29), {**w, "6": hub}, steps, 3)
@@ -305,7 +278,7 @@ def schedule_GHZ6() -> Schedule:
 
 def schedule_LP_full() -> Schedule:
     w = wheel_cells(0)
-    hub = (8, 26)
+    hub = wheel_cells(18)["1"]          # B's centre
     steps: list[Step] = []
     steps += wheel_stage([(E1, 0, "+0000")])
     steps += wheel_stage([(E2, 0, "")])
@@ -317,8 +290,7 @@ def schedule_horseshoe() -> Schedule:
     a, b, c, d = 0, 18, 36, 54
     cells = register_cells([a, b, c, d])
     hub_b, hub_c = cells["6"], cells["11"]
-    bridge = Chain(hub_b, hub_c,
-                   [(9, 26), (10, 26)] + _row(10, 27, 43) + [(10, 44), (9, 44)])
+    bridge = _route(hub_b, (10, hub_b[1]), (10, hub_c[1]), v=hub_c)
     steps: list[Step] = []
     steps += wheel_stage([(E1, a, "+0000"), (E1, d, "+0000")])
     # the hub-to-hub bridge shares the two global layers of A's and D's E2

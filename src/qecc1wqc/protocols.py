@@ -106,12 +106,14 @@ def build_teleport_circuit() -> list[Gate]:
 
 
 # The hop cut at its two error windows: after encoding A ("after_encode_a")
-# and after encoding B ("protected").
+# and after encoding B ("protected").  ``HOP_TAILS`` holds the gates that
+# run after each window.
 _HOP = build_teleport_circuit()
 _A_END = len(code5.build_encoder(0))
 HOP_ENCODE_A = _HOP[:_A_END]
 HOP_FAN_ENCODE_B = _HOP[_A_END:]
 HOP_DECODE_A = code5.build_decoder(0)
+HOP_TAILS = {"protected": HOP_DECODE_A, "after_encode_a": HOP_FAN_ENCODE_B + HOP_DECODE_A}
 TELEPORT_TWO_QUBIT_GATES = two_qubit_gate_count(_HOP)
 
 
@@ -119,6 +121,8 @@ def h_rz_product(psi, xis) -> np.ndarray:
     """prod_k H Rz(xi_k) applied to a single qubit, hop order first."""
     v = np.array(psi, dtype=complex)
     for xi in xis:
+        if not math.isfinite(xi):
+            raise ValueError(f"xi must be finite, got {xi!r}")
         v = np.array([v[0] * np.exp(-1j * xi / 2), v[1] * np.exp(1j * xi / 2)])
         v = np.array([v[0] + v[1], v[0] - v[1]]) / math.sqrt(2)
     return v
@@ -132,7 +136,7 @@ def teleport_target(psi: tuple[complex, complex], xi: float, m: int) -> StateVec
     return code5.encode_amplitudes(v[0], v[1])
 
 
-ERROR_STAGES = ("protected", "after_encode_a")
+ERROR_STAGES = tuple(HOP_TAILS)
 
 
 @dataclass
@@ -203,12 +207,12 @@ def _teleport_hop(state: StateVector, xi: float, rng, forced_m: int | None = Non
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
-    if error is not None and error_stage == "after_encode_a":
+    # the earliest window's tail is the whole hop after A's encoder
+    hop, tail = HOP_TAILS["after_encode_a"], HOP_TAILS[error_stage]
+    svsim.run_circuit(state, hop[:len(hop) - len(tail)])
+    if error is not None:
         svsim.apply_pauli(state, error)
-    svsim.run_circuit(state, HOP_FAN_ENCODE_B)
-    if error is not None and error_stage == "protected":
-        svsim.apply_pauli(state, error)
-    svsim.run_circuit(state, HOP_DECODE_A)
+    svsim.run_circuit(state, tail)
     syndrome = code5.syndrome_string(
         svsim.measure(state, q, "Z", rng=rng)[0].outcome for q in range(1, 5))
     corr = code5.correction_for(syndrome)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,12 @@ def test_correction_examples():
 def test_correction_rejects_unknown_syndrome(bad):
     with pytest.raises(ValueError, match=repr(bad)):
         code5.correction_label_for(bad)
+
+
+@pytest.mark.parametrize("bad", ["X3Z4", "Q1", "X", "", "X0", "X6", "Y3Z3", "Z3X3", "X1 "])
+def test_error_operator_rejects_bad_labels(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        code5.error_operator(bad)
 
 
 def test_transversal_logical_operators():

@@ -104,6 +104,12 @@ def test_depolarizing_validates_arguments():
             harness.run_depolarizing(p, 10)
 
 
+@pytest.mark.parametrize("xi", [float("nan"), float("inf")])
+def test_depolarizing_rejects_non_finite_xi(xi):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        harness.run_depolarizing(0.05, 2000, xi=xi)
+
+
 def _brute_p_value(k, n, q):
     pmf = [math.comb(n, j) * q**j * (1 - q)**(n - j) for j in range(n + 1)]
     return min(1.0, 2 * min(sum(pmf[:k + 1]), sum(pmf[k:])))

@@ -14,8 +14,9 @@ from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
                               run_hop, run_schedule, verify_lattice_against,
                               verify_schedule)
-from qecc1wqc.lattice.layouts import (E1, E1_ADJOINT, E2, GRID_ROWS, Chains, GlobalCZ,
-                                      Local, Prepare, Schedule, wheel_cells, wheel_stage)
+from qecc1wqc.lattice.layouts import (_BENDS, E1, E1_ADJOINT, E2, GRID_ROWS, Chains,
+                                      GlobalCZ, Local, Prepare, Schedule, _path, _route,
+                                      fan_geometry, wheel_cells, wheel_chain, wheel_stage)
 from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import EntangledError, Tableau, run_gates
@@ -462,6 +463,50 @@ def test_overlapping_wheels_rejected(wheels, message):
     sched = Schedule("overlap", (GRID_ROWS, 26), {}, wheel_stage(wheels), 2)
     with pytest.raises(LatticeError, match="^overlap " + message):
         run_schedule(sched, seed=0)
+
+
+# -- routes ----------------------------------------------------------------------------
+
+
+def test_path_corners_must_share_an_axis():
+    with pytest.raises(ValueError, match="share no row or column"):
+        _path((0, 0), (1, 1))
+    with pytest.raises(ValueError, match=r"\(0, 3\) and \(2, 4\)"):
+        _path((0, 0), (0, 3), (2, 4))
+
+
+def test_routes_join_their_ends():
+    """Each route runs from u to v through adjacent cells, none twice: the
+    bent pentagon routes between their arms, each fan from its hub to the
+    five cells of its register, and a route with four corners."""
+    cells = list(wheel_cells(0).values())
+    routes = []
+    for a, b in _BENDS:
+        routes.append(wheel_chain(0, a, b))
+        assert (routes[-1].u, routes[-1].v) == (cells[a], cells[b])
+    for hub, direction, base in (((8, 26), -1, 0), ((8, 44), +1, 54)):
+        first, second, _, _ = fan_geometry(hub, direction)
+        assert {ch.u for ch in first + second} == {hub}
+        assert sorted(ch.v for ch in first + second) == sorted(wheel_cells(base).values())
+        routes += first + second
+    corners = [(5, 9), (5, 2), (1, 2), (1, 6), (4, 6)]
+    routes.append(_route(corners[0], *corners[1:-1], v=corners[-1]))
+    assert routes[-1].path == _path(*corners)
+    for chain in routes:
+        chain.validate_geometry()
+
+
+def test_repeated_corner_adds_no_cell():
+    assert _path((0, 0), (0, 2), (0, 2), (3, 2)) == _path((0, 0), (0, 2), (3, 2))
+    assert _path((4, 4), (4, 4)) == [(4, 4)]
+    assert _route((2, 1), (2, 1), v=(2, 4)).interior == [(2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("pair", list(_BENDS))
+def test_bent_pentagon_routes_are_odd(pair):
+    """Each bent pentagon chain has 9 interior cells: an odd chain, closed
+    by a Y measurement."""
+    assert len(wheel_chain(0, *pair).interior) == 9
 
 
 # -- hop -------------------------------------------------------------------------------

@@ -44,6 +44,12 @@ def test_unknown_stage_rejected():
         harness.exhaustive_failure_oracle(stage="before_everything")
 
 
+@pytest.mark.parametrize("xi", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_xi_rejected(xi):
+    with pytest.raises(ValueError, match="xi must be finite"):
+        harness.exhaustive_failure_oracle(xi=xi)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("stage", protocols.ERROR_STAGES)
 def test_oracle_matches_dense_teleport_on_every_pattern(stage):
