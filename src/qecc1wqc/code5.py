@@ -122,14 +122,6 @@ def encoder_layers(offset: int = 0) -> list[list[Gate]]:
             [CZ(offset + a, offset + b) for a, b in PENTAGON_EDGES]]
 
 
-def build_E1(offset: int = 0) -> list[Gate]:
-    """First encoder layer on qubits offset..offset+4.
-
-    Maps |psi>|0000> to ((alpha-beta)|+>^5 + (alpha+beta)|->^5)/sqrt(2).
-    """
-    return [g for layer in encoder_layers(offset)[:4] for g in layer]
-
-
 def build_E2(offset: int = 0) -> list[Gate]:
     """Pentagon of CZ gates (the five-cycle entangler)."""
     return encoder_layers(offset)[4]
@@ -156,30 +148,10 @@ def encode(psi: tuple[complex, complex]) -> StateVector:
     return state
 
 
-def logical_zero_from_K5() -> StateVector:
-    """|0L> built from the complete-graph state (up to an overall sign)."""
-    state = svsim.init(5, "+++++")
-    for a in range(5):
-        for b in range(a + 1, 5):
-            svsim.apply(state, CZ(a, b))
-    return apply_K5_reduction(state)
-
-
-def apply_K5_reduction(state: StateVector) -> StateVector:
-    """H1, X on 2..5, and the three CZ gates that map |K5> to |0L>."""
-    for a, b in ((1, 2), (1, 4), (3, 4)):
-        svsim.apply(state, CZ(a, b))
-    for q in range(1, 5):
-        svsim.apply(state, Gate("X", (q,)))
-    svsim.apply(state, H(0))
-    return state
-
-
 # -- decoding and correction ---------------------------------------------------
 
 
-def decode_and_syndrome(state: StateVector, rng=None,
-                        forced: dict[int, int] | None = None):
+def decode_and_syndrome(state: StateVector):
     """Apply the decoder, read the syndrome, return the residual qubit.
 
     Returns (syndrome string, 1-qubit StateVector).  Any 5-qubit state is
@@ -189,11 +161,7 @@ def decode_and_syndrome(state: StateVector, rng=None,
     if state.n != 5:
         raise ValueError("decoder expects a 5-qubit register")
     svsim.run_circuit(state, build_decoder())
-    bits = []
-    for q in range(1, 5):
-        f = None if forced is None else forced.get(q)
-        rec, _ = svsim.measure(state, q, "Z", rng=rng, forced=f)
-        bits.append(rec.outcome)
+    bits = [svsim.measure(state, q, "Z")[0].outcome for q in range(1, 5)]
     return syndrome_string(bits), svsim.extract_pure(state, [0])
 
 

@@ -242,12 +242,13 @@ def binomial_p_value(k: int, n: int, q: float) -> float:
 
 
 def run_depolarizing(p: float, trials: int, seed: int = 0,
-                     xi: float = 0.7, oracle: dict | None = None) -> RunReport:
+                     xi: float | None = None, oracle: dict | None = None) -> RunReport:
     """Each protected qubit independently suffers a uniform X/Y/Z error with
     probability p; reports the empirical logical failure rate.
 
-    The ``oracle``, by default the protected window's, fixes where the
-    errors strike.
+    The ``oracle``, by default the protected window's at ``xi`` (0.7 when
+    not given), fixes where the errors strike and the reported xi; an
+    explicit ``xi`` that differs from a given oracle's is an error.
 
     ``within_5_sigma`` holds when the exact two-sided binomial p-value of
     the failure count under the oracle prediction is at least the normal
@@ -258,7 +259,9 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if oracle is None:
-        oracle = exhaustive_failure_oracle(xi=xi, seed=seed ^ 0x5EED)
+        oracle = exhaustive_failure_oracle(xi=0.7 if xi is None else xi, seed=seed ^ 0x5EED)
+    elif xi is not None and xi != oracle["xi"]:
+        raise ValueError(f"xi={xi!r} differs from the oracle's xi={oracle['xi']!r}")
     table = oracle["table"]
     successes = 0
     fid_sum = 0.0
@@ -286,7 +289,7 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     p_value = binomial_p_value(trials - successes, trials, predicted)
     details = {
         "p": p,
-        "xi": xi,
+        "xi": oracle["xi"],
         "failure_rate": failure_rate,
         "predicted_failure_rate": predicted,
         "binomial_sigma": sigma,

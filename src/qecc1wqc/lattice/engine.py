@@ -33,7 +33,8 @@ ideal = frame * actual, up to a global phase that nothing reads.  Every
 applied gate conjugates the frame (``pauli.conjugate_pauli``, and
 ``pauli.conjugate_cz_layer`` for a CZ layer); measurements never change it
 but their raw outcomes are reinterpreted (X flips with the Z bit, Z with
-the X bit, Y with both).
+the X bit, Y with both).  It changes only signs, so a data register is
+read with the frame's part there alone, as X and Z gates (``frame_gates``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..circuit import Gate
 from ..pauli import LOCAL_RULES, PauliString, conjugate_cz_layer, conjugate_pauli
-from ..tableau import INIT_SYMBOLS, EntangledError, Tableau
+from ..tableau import INIT_SYMBOLS, EntangledError, Tableau, run_gates
 
 # Most cells one lattice may give a qubit (the largest named schedule uses
 # 397).  Tableau memory grows with the square of this count.
@@ -258,8 +259,9 @@ class Lattice:
 
     # -- measurements --------------------------------------------------------------
 
-    def _measure_frame_corrected(self, rc: tuple[int, int], basis: str,
-                                 forced: int | None = None) -> int:
+    def measure_data(self, rc, basis: str, forced: int | None = None) -> int:
+        """Measure a cell in X, Y or Z; returns the frame-corrected outcome.
+        ``forced`` forces the raw tableau outcome."""
         q = self.qubit(rc)
         raw, _ = self.tab.measure(q, basis, rng=self._rng, forced=forced)
         if basis == "X":
@@ -309,13 +311,13 @@ class Lattice:
         # interior[1] and its near end is the head instead of u.
         odd = k % 2
         near = interior[0] if odd else u
-        outcomes = [self._measure_frame_corrected(rc, "X", f(i))
+        outcomes = [self.measure_data(rc, "X", f(i))
                     for i, rc in enumerate(interior[odd:], start=odd)]
         zn, zv = _alternating_parities(outcomes)
         self._flip_frame(self.qubit(near), z=zn)
         self._flip_frame(self.qubit(v), z=zv)
         if odd:
-            mu = self._measure_frame_corrected(near, "Y", f(0))
+            mu = self.measure_data(near, "Y", f(0))
             for rc in (u, v):
                 self._apply(Gate("SDG", (self.qubit(rc),)))
                 self._flip_frame(self.qubit(rc), z=mu)
@@ -327,36 +329,31 @@ class Lattice:
         self.counts.measured_ancillae += k
         return outcomes
 
-    def measure_data(self, rc, basis: str, forced: int | None = None) -> int:
-        return self._measure_frame_corrected(tuple(rc), basis, forced)
-
     def add_frame_pauli(self, rc, x: int = 0, z: int = 0) -> None:
         self._flip_frame(self.qubit(rc), bool(x), bool(z))
 
     # -- extraction ------------------------------------------------------------------
 
-    def frame_applied_tableau(self) -> Tableau:
-        """The tableau with all pending frame corrections applied.
-
-        The result shares the live tableau's X/Z blocks, read-only, so it
-        describes the lattice only until the next step changes it.
-        """
+    def frame_gates(self, qubits: list[int]) -> list[Gate]:
+        """The byproducts on ``qubits`` as X and Z gates on positions
+        0..m-1: run on a register that holds those qubits in that order,
+        they take its actual state to the ideal one."""
         f = self.frame
-        fx = [q for q in range(f.n) if f.x_bit(q)]
-        fz = [q for q in range(f.n) if f.z_bit(q)]
-        return self.tab.with_paulis(fx, fz)
+        return ([Gate("X", (j,)) for j, q in enumerate(qubits) if f.x_bit(q)]
+                + [Gate("Z", (j,)) for j, q in enumerate(qubits) if f.z_bit(q)])
 
     def data_subtableau(self, label_order: list[str]) -> Tableau:
         """Extract the data-cell state as a small tableau.
 
-        Requires every generator of the (frame-corrected) state to be
-        supported either entirely on the data cells or entirely off them;
-        raises naming the lowest leftover entangled cell otherwise.
+        Requires every generator of the state to be supported either
+        entirely on the data cells or entirely off them; raises naming the
+        lowest leftover entangled cell otherwise.  The frame changes only
+        signs, so it is applied to the extracted register alone.
         """
         data_qubits = self.data_qubits(label_order)
         distinct = list(dict.fromkeys(data_qubits))   # two labels may share a cell
         try:
-            sub = self.frame_applied_tableau().restricted(distinct)
+            sub = self.tab.restricted(distinct)
         except EntangledError as exc:
             rc = min(self.cells[q] for q in exc.qubits)
             raise LatticeError(
@@ -364,4 +361,4 @@ class Lattice:
         if len(distinct) != len(data_qubits):
             raise LatticeError(
                 f"expected {len(data_qubits)} data generators, found {len(distinct)}")
-        return sub
+        return run_gates(sub, self.frame_gates(distinct))

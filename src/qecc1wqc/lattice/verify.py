@@ -1,14 +1,15 @@
 """Schedule verification against circuit-built reference tableaux.
 
-Decide by membership, explain by elimination.  The verdict maps each
-stabilizer generator of the reference state onto the lattice qubits of its
-data labels, in label order, and asks whether the frame-corrected lattice
-state has it, sign included, in its stabilizer group
-(:meth:`Tableau.stabilizes`, one destabilizer product per generator).  All
-of them are exactly when the data register is unentangled and in the
-reference state.  Only a failed verdict extracts the data register by
-row reduction, to say why: labels sharing a cell, the lowest cell still
-entangled with the data, or the first canonical generator that differs.
+Decide by membership, explain by elimination.  The Pauli frame F changes
+only signs, so the data register is in the reference state exactly when
+the live tableau holds F times that state there, F read on the data qubits
+alone.  The verdict runs that part of F on a copy of the reference, maps
+each of its stabilizer generators onto the lattice qubits of the data
+labels, in label order, and asks whether the live tableau has it, sign
+included, in its stabilizer group (:meth:`Tableau.stabilizes`).  Only a
+failed verdict extracts the data register by row reduction, to say why:
+labels sharing a cell, the lowest cell still entangled with the data, or
+the first canonical generator that differs.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def verify_lattice_against(lat: Lattice, target: Tableau,
     counts = lat.counts.global_cz_steps, lat.counts.measured_ancillae
     try:
         qubits = lat.data_qubits(label_order)
-        if data_register_holds(lat.frame_applied_tableau(), qubits, target):
+        # a reference of another width never holds; the slice keeps the
+        # frame gates on it
+        framed = run_gates(target.copy(), lat.frame_gates(qubits[:target.n]))
+        if data_register_holds(lat.tab, qubits, framed):
             return VerifyResult(name, True, *counts)
         sub = lat.data_subtableau(label_order)
     except LatticeError as exc:

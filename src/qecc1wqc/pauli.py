@@ -98,12 +98,6 @@ class PauliString:
     def weight(self) -> int:
         return _popcount(self.x | self.z)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
-    def is_hermitian(self) -> bool:
-        return (self.phase - _popcount(self.x & self.z)) % 2 == 0
-
     def to_label(self) -> str:
         """Render as sign prefix plus letters, e.g. '+XZIIY'."""
         letters = []

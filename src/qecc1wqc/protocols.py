@@ -77,22 +77,6 @@ def build_logical_physical_circuit() -> list[Gate]:
     return code5.build_encoder(0) + [H(5)] + fan(0, 5)
 
 
-def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
-    """Encode + hub fan: alpha |0L>|+>_6 + beta |1L>|->_6 on six qubits."""
-    amps = np.zeros(64, dtype=complex)
-    amps[0] = alpha
-    amps[32] = beta
-    state = svsim.from_amplitudes(amps)
-    svsim.run_circuit(state, build_logical_physical_circuit())
-    return state
-
-
-def pentagon_logical_physical() -> StateVector:
-    """Pentagon route: (|-L>|0>_6 + |+L>|1>_6)/sqrt(2), exactly."""
-    state = svsim.init(6, "++++++")
-    return svsim.run_circuit(state, fan(0, 5) + code5.build_E2())
-
-
 # -- encoded teleportation ------------------------------------------------------
 
 
@@ -120,6 +104,8 @@ TELEPORT_TWO_QUBIT_GATES = two_qubit_gate_count(_HOP)
 def h_rz_product(psi, xis) -> np.ndarray:
     """prod_k H Rz(xi_k) applied to a single qubit, hop order first."""
     v = np.array(psi, dtype=complex)
+    if v.shape != (2,) or not np.isfinite(v).all() or abs(np.linalg.norm(v) - 1) > 1e-8:
+        raise ValueError(f"psi must be two finite amplitudes of norm 1, got {psi!r}")
     for xi in xis:
         if not math.isfinite(xi):
             raise ValueError(f"xi must be finite, got {xi!r}")

@@ -43,9 +43,6 @@ class StateVector:
             raise ValueError(
                 f"{n} qubits need {1 << n} amplitudes, got shape {self.amps.shape}")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amps.copy())
 

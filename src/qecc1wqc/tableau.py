@@ -152,19 +152,6 @@ class Tableau:
         self.n, self.x, self.z, self.ph = m, x, z, ph
         return added
 
-    def with_paulis(self, x_qubits, z_qubits) -> "Tableau":
-        """This state with X on ``x_qubits`` and Z on ``z_qubits`` applied.
-
-        Paulis only flip row signs (X_q those rows with z_q set, Z_q those
-        with x_q set), so the result shares the X/Z blocks, read-only, and
-        owns only a new phase vector.
-        """
-        flips = (_sign_flips(self.z, _qubit_mask(self.n, x_qubits))
-                 ^ _sign_flips(self.x, _qubit_mask(self.n, z_qubits)))
-        x, z = self.x.view(), self.z.view()
-        x.flags.writeable = z.flags.writeable = False
-        return Tableau(self.n, x, z, (self.ph + 2 * flips) & 3)
-
     # -- row helpers ----------------------------------------------------------
 
     def _multiply_rows(self, rows: np.ndarray, i: int) -> None:
@@ -180,9 +167,6 @@ class Tableau:
 
     def stabilizer_rows(self) -> list[PauliString]:
         return [self.row_pauli(i) for i in range(self.n, 2 * self.n)]
-
-    def generator_labels(self) -> list[str]:
-        return [p.to_label() for p in self.stabilizer_rows()]
 
     # -- gates ----------------------------------------------------------------
 
@@ -250,6 +234,8 @@ class Tableau:
         if len(symbols) != len(qubits):
             raise ValueError("one symbol per qubit")
         _check_qubits(self.n, qubits)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"repeated qubit in {qubits}")
         for sym in symbols:
             if sym not in INIT_SYMBOLS:
                 raise ValueError(f"unsupported init symbol {sym!r}")

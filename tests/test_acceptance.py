@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_qubit
+from conftest import logical_zero_from_K5, random_qubit
 from qecc1wqc import code5, harness, protocols, svsim
 from qecc1wqc.circuit import CZ, two_qubit_gate_count
 from qecc1wqc.lattice import run_hop, verify_schedule
@@ -32,7 +32,7 @@ def test_criterion_1_code_state_identities():
         svsim.apply(pent_minus, CZ(a, b))
     f_minus = svsim.fidelity(code5.logical_minus(), pent_plus)
     f_plus = svsim.fidelity(code5.logical_plus(), pent_minus)
-    f_k5 = svsim.fidelity(code5.logical_zero(), code5.logical_zero_from_K5())
+    f_k5 = svsim.fidelity(code5.logical_zero(), logical_zero_from_K5())
     elapsed = time.time() - t0
     ok = (f_minus >= 1 - 1e-10 and f_plus >= 1 - 1e-10
           and f_k5 >= 1 - 1e-10 and elapsed < 1.0)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import random_qubit
+from conftest import apply_K5_reduction, logical_zero_from_K5, random_qubit
 from qecc1wqc import code5, svsim
 from qecc1wqc.circuit import CZ
 from qecc1wqc.graphs import tableau_to_graph
@@ -13,6 +13,9 @@ from qecc1wqc.tableau import Tableau
 PLUS_TERMS = {"00000", "10010", "01001", "10100", "01010", "00101"}
 MINUS_TERMS = {"11011", "00110", "11000", "11101", "00011",
                "11110", "01111", "10001", "01100", "10111"}
+
+# the first four encoder layers, E1
+E1 = [g for layer in code5.encoder_layers()[:4] for g in layer]
 
 
 def test_logical_zero_amplitude_pattern():
@@ -42,7 +45,7 @@ def test_pentagon_identities_exact():
 
 
 def test_k5_construction():
-    built = code5.logical_zero_from_K5()
+    built = logical_zero_from_K5()
     assert svsim.fidelity(built, code5.logical_zero()) > 1 - 1e-10
 
 
@@ -56,8 +59,8 @@ def test_k5_intermediate_is_complete_graph():
 
 
 def test_k5_reduction_not_involutive():
-    once = code5.logical_zero_from_K5()
-    twice = code5.apply_K5_reduction(once.copy())
+    once = logical_zero_from_K5()
+    twice = apply_K5_reduction(once.copy())
     k5 = svsim.init(5, "+++++")
     for a in range(5):
         for b in range(a + 1, 5):
@@ -72,7 +75,7 @@ def test_e1_contract(rng):
         amps = np.zeros(32, dtype=complex)
         amps[0], amps[16] = alpha, beta
         state = svsim.from_amplitudes(amps)
-        svsim.run_circuit(state, code5.build_E1())
+        svsim.run_circuit(state, E1)
         plus5 = svsim.init(5, "+++++").amps
         minus5 = svsim.init(5, "-----").amps
         target = ((alpha - beta) * plus5 + (alpha + beta) * minus5) / np.sqrt(2)
@@ -85,7 +88,7 @@ def test_e1_alone_on_basis_zero():
     amps = np.zeros(32, dtype=complex)
     amps[0] = 1
     mid = svsim.from_amplitudes(amps)
-    svsim.run_circuit(mid, code5.build_E1())
+    svsim.run_circuit(mid, E1)
     plus5 = svsim.init(5, "+++++").amps
     minus5 = svsim.init(5, "-----").amps
     assert np.allclose(mid.amps, (plus5 + minus5) / np.sqrt(2), atol=1e-10)
@@ -144,7 +147,7 @@ def test_all_sixteen_syndromes_distinct():
 
 
 def test_correction_examples():
-    assert code5.correction_for("0000").is_identity()
+    assert code5.correction_for("0000") == PauliString.identity(1)
     xz = code5.correction_for("1101")
     assert xz == compose_pauli(PauliString.single(1, 0, "X"),
                                PauliString.single(1, 0, "Z"))

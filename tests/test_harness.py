@@ -110,6 +110,21 @@ def test_depolarizing_rejects_non_finite_xi(xi):
         harness.run_depolarizing(0.05, 2000, xi=xi)
 
 
+def test_depolarizing_reports_the_oracles_xi():
+    """The report's xi is the one the oracle was built at, not the 0.7
+    default."""
+    oracle = harness.exhaustive_failure_oracle(xi=0.3, seed=3)
+    rep = harness.run_depolarizing(0.05, 200, oracle=oracle)
+    assert rep.details["xi"] == 0.3
+    assert harness.run_depolarizing(0.05, 200, xi=0.3, oracle=oracle).details["xi"] == 0.3
+
+
+@pytest.mark.parametrize("xi", [0.1, float("nan")])
+def test_depolarizing_rejects_xi_other_than_the_oracles(oracle, xi):
+    with pytest.raises(ValueError, match="differs from the oracle's xi=0.7"):
+        harness.run_depolarizing(0.05, 200, xi=xi, oracle=oracle)
+
+
 def _brute_p_value(k, n, q):
     pmf = [math.comb(n, j) * q**j * (1 - q)**(n - j) for j in range(n + 1)]
     return min(1.0, 2 * min(sum(pmf[:k + 1]), sum(pmf[k:])))

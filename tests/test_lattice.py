@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from qecc1wqc import svsim
 from qecc1wqc.circuit import CZ, Gate
 from qecc1wqc.graphs import Graph, graph_to_tableau
-from qecc1wqc.lattice import (MAX_CELLS, Chain, Lattice, LatticeError, build_schedule,
-                              run_hop, run_schedule, verify_lattice_against,
-                              verify_schedule)
+from qecc1wqc.lattice import (MAX_CELLS, NAMED_SCHEDULES, Chain, Lattice, LatticeError,
+                              build_schedule, run_hop, run_schedule, target_tableau,
+                              verify_lattice_against, verify_schedule)
 from qecc1wqc.lattice.layouts import (_BENDS, E1, E1_ADJOINT, E2, GRID_ROWS, Chains,
                                       GlobalCZ, Local, Prepare, Schedule, _path, _route,
                                       fan_geometry, wheel_cells, wheel_chain, wheel_stage)
@@ -719,6 +719,50 @@ def test_wrong_sign_target_diagnostic():
     res = verify_lattice_against(lat, target, ["a", "b"], "row")
     assert not res.ok
     assert res.diagnostic == "+ZX != -ZX"
+
+
+def _check_frame_read_on_data(lat, name, order, refs):
+    """The verdict and diagnostic match those that running every frame bit,
+    data or not, as a gate on a copy of the whole lattice tableau gives."""
+    f = lat.frame
+    framed = run_gates(lat.tab.copy(),
+                       [Gate(kind, (q,)) for q in range(lat.n)
+                        for kind, bit in (("X", f.x_bit(q)), ("Z", f.z_bit(q))) if bit])
+    qubits = lat.data_qubits(order)
+    verdicts = []
+    for ref in refs:
+        res = verify_lattice_against(lat, ref, order, name)
+        assert res.ok == data_register_holds(framed, qubits, ref)
+        if not res.ok:
+            assert res.diagnostic == framed.restricted(qubits).first_difference(ref)
+        verdicts.append(res.ok)
+    return verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", NAMED_SCHEDULES)
+def test_frame_is_read_on_the_data_register(name, seed):
+    """Checked against the true target and a sign-flipped one: as the
+    schedule leaves the frame, after byproducts on the data cells that
+    multiply to a target stabilizer (the verdict still holds), and after
+    random byproducts there."""
+    rng = np.random.default_rng(seed)
+    lat = run_schedule(build_schedule(name), seed=seed)
+    target, order = target_tableau(name)
+    flipped = target.copy()
+    flipped.ph[target.n + int(rng.integers(0, target.n))] ^= 2
+    refs = (target, flipped)
+    assert _check_frame_read_on_data(lat, name, order, refs) == [True, False]
+    x = z = 0
+    for g in target.stabilizer_rows():
+        if rng.random() < 0.5:
+            x, z = x ^ g.x, z ^ g.z
+    for j, lbl in enumerate(order):
+        lat.add_frame_pauli(lat.data_cells[lbl], (x >> j) & 1, (z >> j) & 1)
+    assert _check_frame_read_on_data(lat, name, order, refs) == [True, False]
+    for lbl in order:
+        lat.add_frame_pauli(lat.data_cells[lbl], *(int(b) for b in rng.integers(0, 2, 2)))
+    _check_frame_read_on_data(lat, name, order, refs)
 
 
 def test_verification_runs_no_elimination(monkeypatch):

@@ -50,6 +50,15 @@ def test_non_finite_xi_rejected(xi):
         harness.exhaustive_failure_oracle(xi=xi)
 
 
+@pytest.mark.parametrize("psi", [(3, 4), (float("nan"), 0), (0, 0), (0.6, 0.8, 0.1), (1,)],
+                         ids=["norm_5", "nan", "zero", "three_amplitudes", "one_amplitude"])
+def test_malformed_psi_rejected(psi):
+    """These used to give 0 failures at every weight, every pattern failing,
+    a silently dropped amplitude or an IndexError."""
+    with pytest.raises(ValueError, match="psi must be two finite amplitudes of norm 1"):
+        harness.exhaustive_failure_oracle(psi=psi)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("stage", protocols.ERROR_STAGES)
 def test_oracle_matches_dense_teleport_on_every_pattern(stage):

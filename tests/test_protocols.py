@@ -101,9 +101,25 @@ def test_lcs2_sequential_vs_graph_circuit_frame():
 # -- logical-physical cluster state ----------------------------------------------
 
 
+def build_logical_physical(alpha: complex, beta: complex) -> StateVector:
+    """Encode + hub fan: alpha |0L>|+>_6 + beta |1L>|->_6 on six qubits."""
+    amps = np.zeros(64, dtype=complex)
+    amps[0] = alpha
+    amps[32] = beta
+    state = svsim.from_amplitudes(amps)
+    svsim.run_circuit(state, protocols.build_logical_physical_circuit())
+    return state
+
+
+def pentagon_logical_physical() -> StateVector:
+    """Pentagon route: (|-L>|0>_6 + |+L>|1>_6)/sqrt(2), exactly."""
+    state = svsim.init(6, "++++++")
+    return svsim.run_circuit(state, protocols.fan(0, 5) + code5.build_E2())
+
+
 def test_logical_physical_structure(rng):
     alpha, beta = random_qubit(rng)
-    state = protocols.build_logical_physical(alpha, beta)
+    state = build_logical_physical(alpha, beta)
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
     expect = (alpha * np.kron(code5.logical_zero().amps, plus)
@@ -113,8 +129,8 @@ def test_logical_physical_structure(rng):
 
 def test_logical_physical_plus_input_vs_pentagon_route():
     s = 1 / np.sqrt(2)
-    built = protocols.build_logical_physical(s, s)
-    pentagon = protocols.pentagon_logical_physical()
+    built = build_logical_physical(s, s)
+    pentagon = pentagon_logical_physical()
     # the two constructions differ by exactly a transversal Z on the register
     for q in range(5):
         from qecc1wqc.circuit import Z
@@ -123,7 +139,7 @@ def test_logical_physical_plus_input_vs_pentagon_route():
 
 
 def test_pentagon_route_is_eq12_exactly():
-    state = protocols.pentagon_logical_physical()
+    state = pentagon_logical_physical()
     zero = np.array([1, 0])
     one = np.array([0, 1])
     expect = (np.kron(code5.logical_minus().amps, zero)
@@ -142,7 +158,7 @@ def test_ghz6_construction():
 
 
 def test_logical_physical_zero_input_is_product():
-    state = protocols.build_logical_physical(1, 0)
+    state = build_logical_physical(1, 0)
     ok, sub = svsim.partial_trace_is_pure(state, [0, 1, 2, 3, 4])
     assert ok
     assert svsim.fidelity(sub, code5.logical_zero()) > 1 - 1e-10

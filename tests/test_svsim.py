@@ -143,10 +143,10 @@ def test_norm_preserved_through_random_circuit(rng):
             svsim.apply(s, RZ(int(rng.integers(0, 4)), float(rng.uniform(0, 7))))
         else:
             svsim.apply(s, Gate(kind, (int(rng.integers(0, 4)),)))
-    assert abs(s.norm() - 1) < 1e-10
+    assert abs(np.linalg.norm(s.amps) - 1) < 1e-10
     for q in range(4):
         svsim.measure(s, q, "Z", rng=rng)
-        assert abs(s.norm() - 1) < 1e-10
+        assert abs(np.linalg.norm(s.amps) - 1) < 1e-10
 
 
 def test_measurement_statistics_within_5_sigma(rng):
@@ -182,7 +182,7 @@ def _dense_stabilizer_group(state: StateVector):
         for z in range(2**n):
             for phase in (0, 1, 2, 3):
                 p = PauliString(n, x, z, phase)
-                if not p.is_hermitian():
+                if (phase - bin(x & z).count("1")) % 2:  # not Hermitian
                     continue
                 if np.allclose(p.matrix() @ state.amps, state.amps, atol=1e-8):
                     found.add((x, z, phase))
