@@ -279,7 +279,7 @@ class Lattice:
         raw tableau outcomes, one 0 or 1 per interior cell (for exhaustive
         byproduct tests).  Each chain
         edge must have been created exactly once, and no other edge may touch
-        an interior cell.
+        an interior cell; a chain that fails a check changes nothing.
         """
         chain.validate_geometry()
         u, v = tuple(chain.u), tuple(chain.v)
@@ -288,17 +288,19 @@ class Lattice:
         for rc in interior:
             if rc not in self.active:
                 raise LatticeError(f"chain interior {rc} is not active")
-        for a, b in chain.edges():
-            e = _edge(tuple(a), tuple(b))
-            created = len(self.pending.pop(e, ()))
+        edges = [_edge(tuple(a), tuple(b)) for a, b in chain.edges()]
+        for e in edges:
+            created = len(self.pending.get(e, ()))
             if created != 1:
                 raise LatticeError(f"chain edge {e} created {created} times")
         for r, c in interior:
             for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
                 e = _edge((r, c), nb)
-                if e in self.pending:
+                if e in self.pending and e not in edges:
                     raise LatticeError(
                         f"stray edge {e} touches measured interior {(r, c)}")
+        for e in edges:   # every check passed: consume the chain's edges
+            del self.pending[e]
         k = len(interior)
         if k == 0:
             return []

@@ -10,7 +10,10 @@ neighbor.  A route is written as its two ends and the corners where it
 turns: one path primitive (:func:`_path`) lays out every cell between, so a
 chain with no corners is straight.
 
-The encoder stages are compiled from ``code5.encoder_layers`` by
+Every stage compiles through :func:`stage`, which derives each ancilla
+prepare from the stage's chains and global layers: an interior cell is
+prepared in |+> when the round that makes its first chain edge opens.  The
+encoder stages are compiled from ``code5.encoder_layers`` by
 :func:`wheel_stage`: each CZ becomes a chain, each run of single-qubit
 layers one local step.  Wheels that share a stage's global layers are
 compiled by one call, as are fans by :func:`fan_stage`.  Stage structure
@@ -20,11 +23,12 @@ per the global-layer budget:
   E2   vertical + horizontal     (5 pentagon chains; the three arm-to-arm
                                   chains have odd interior and finish with
                                   a Y measurement)
-  fan  horizontal + vertical + vertical
+  fan  horizontal + vertical, then vertical
        (three chains measured after the second layer, then the two
        remaining chains re-enter through the freed vertical ports of the
-       hub and are completed by the third layer; pre-built single-row
-       stubs supply their horizontal segments)
+       hub and are completed by the third layer; their horizontal
+       segments are made by the first layer, so those cells are prepared
+       with the first round)
 
 The fan's port shortage is structural: a hub must link to five registers
 but has four neighbors, hence the extra vertical layer and the
@@ -140,17 +144,11 @@ def wheel_chain(base: int, a: int, b: int) -> Chain:
     return _route(cells[a], *bends, v=cells[b])
 
 
-def fan_geometry(hub: tuple[int, int], direction: int):
-    """Five hub-to-register chains plus the fan's prep bookkeeping.
-
-    ``direction`` is -1 for a register 18 columns west of the hub and +1
-    for one to the east.  Returns (chains_first, chains_second, early,
-    late): the first three chains complete after the second global layer;
-    the last two re-use the hub's vertical ports and complete after the
-    third.  ``early`` cells must be alive from the first layer on (single
-    row stubs and the final approach cells), ``late`` cells join for the
-    third layer only.
-    """
+def fan_geometry(hub: tuple[int, int], direction: int) -> tuple[list[Chain], list[Chain]]:
+    """The five hub-to-register routes of a fan, for a register 18 columns
+    west (``direction`` -1) or east (+1) of the hub: three that complete in
+    the fan's first round, then two that re-enter through the hub's freed
+    vertical ports and complete in its second."""
     hr, hc = hub
 
     def c(offset: int) -> int:
@@ -161,22 +159,11 @@ def fan_geometry(hub: tuple[int, int], direction: int):
              _route(hub, (12, hc), (12, c(18)), v=(13, c(18)))]              # south arm
     second = [_route(hub, (0, hc), (0, c(17)), (8, c(17)), v=(hr, c(18))),   # centre
               _route(hub, (16, hc), (16, c(22)), (8, c(22)), v=(hr, c(23)))]  # far arm
-    early = (_path((0, hc), (0, c(17))) + [(8, c(17))]
-             + _path((16, hc), (16, c(22))) + [(8, c(22))])
-    late = (_path((1, hc), (7, hc)) + _path((1, c(17)), (7, c(17)))
-            + _path((9, hc), (15, hc)) + _path((9, c(22)), (15, c(22))))
-    return first, second, early, late
+    return first, second
 
 
 def _prep(cells, sym: str) -> list[tuple[Cell, str]]:
     return [(rc, sym) for rc in cells]
-
-
-def _interiors(chains: list[Chain]) -> list[tuple[int, int]]:
-    out = []
-    for ch in chains:
-        out.extend(ch.interior)
-    return out
 
 
 def _local_ops(layers, cells) -> list[tuple[Cell, list[str]]]:
@@ -189,7 +176,37 @@ def _local_ops(layers, cells) -> list[tuple[Cell, list[str]]]:
     return list(ops.items())
 
 
-def wheel_stage(wheels) -> list[Step]:
+def _axis(a: Cell, b: Cell) -> str:
+    return "vertical" if a[1] == b[1] else "horizontal"
+
+
+def stage(prepare, rounds, pre=(), post=()) -> list[Step]:
+    """One stage: the endpoint ``prepare`` list, the ``Local`` ops ``pre``
+    and ``post`` around it, and its rounds, each (axes, chains): a global
+    layer per axis, then the chains measured out.
+
+    Every ancilla prepare is derived, just in advance of its use: a chain
+    edge along an axis is made by the last layer of that axis in the
+    chain's round or an earlier one, and each interior cell is prepared in
+    |+> when the round that makes its first edge opens.
+    """
+    preps = [list(prepare)] + [[] for _ in rounds[1:]]
+    last: dict[str, int] = {}
+    for k, (axes, chains) in enumerate(rounds):
+        last.update(dict.fromkeys(axes, k))
+        for p in (ch.path for ch in chains):
+            for i in range(1, len(p) - 1):
+                made = min(last[_axis(p[j], p[j + 1])] for j in (i - 1, i))
+                preps[made].append((p[i], "+"))
+    steps: list[Step] = []
+    for k, (axes, chains) in enumerate(rounds):
+        steps += [Prepare(preps[k])] if preps[k] else []
+        steps += [Local(pre)] if k == 0 and pre else []
+        steps += [*map(GlobalCZ, axes), Chains(chains)]
+    return steps + ([Local(post)] if post else [])
+
+
+def wheel_stage(wheels, prepare=(), chains=()) -> list[Step]:
     """Gate layers compiled onto wheels that share the stage's two global
     layers; ``wheels`` holds one (layers, base, data) per wheel.
 
@@ -198,59 +215,28 @@ def wheel_stage(wheels) -> list[Step]:
     CZs becomes a chain (:func:`wheel_chain`), and the single-qubit layers
     before and after it join the stage's two ``Local`` steps.  ``data``
     holds prepare symbols for the register qubits in order, "." leaving a
-    live qubit alone; each wheel prepares its data cells first, then its
-    chain interiors in |+>.  Wheels that overlap fail when the stage runs:
-    a cell is prepared twice, or a global layer links two wheels.
+    live qubit alone; ``prepare`` and ``chains`` add endpoints and chains
+    that share the stage.  Wheels that overlap fail when the stage runs: a
+    cell is prepared twice, or a global layer links two wheels.
     """
-    prep: list = []
-    chains: list[Chain] = []
-    pre: list = []
-    post: list = []
+    prep, chs, pre, post = list(prepare), [], [], []
     for layers, base, data in wheels:
         cz = next(i for i, layer in enumerate(layers) if len(layer[0].targets) == 2)
         cells = list(wheel_cells(base).values())
         prep += [(rc, sym) for rc, sym in zip(cells, data) if sym != "."]
-        chs = [wheel_chain(base, *g.targets) for g in layers[cz]]
-        prep += _prep(_interiors(chs), "+")
-        chains += chs
+        chs += [wheel_chain(base, *g.targets) for g in layers[cz]]
         pre += _local_ops(layers[:cz], cells)
         post += _local_ops(layers[cz + 1:], cells)
-    steps: list[Step] = [Prepare(prep)]
-    if pre:
-        steps.append(Local(pre))
-    steps += [GlobalCZ("vertical"), GlobalCZ("horizontal"), Chains(chains)]
-    if post:
-        steps.append(Local(post))
-    return steps
+    return stage(prep, [(("vertical", "horizontal"), chs + list(chains))], pre, post)
 
 
-def fan_stage(fans, prep_hub: bool) -> list[Step]:
+def fan_stage(fans, prepare=()) -> list[Step]:
     """Three-layer fan stage of the (hub, direction) ``fans``, which share
-    its global layers (see :func:`fan_geometry`)."""
-    first: list[Chain] = []
-    second: list[Chain] = []
-    early: list = []
-    late: list = []
-    prep: list = []
-    for h, d in fans:
-        f1, f2, e, l = fan_geometry(h, d)
-        first += f1
-        second += f2
-        early += e
-        late += l
-        prep += _prep(_interiors(f1), "+")
-    if prep_hub:
-        prep += _prep([h for h, _ in fans], "+")
-    prep += _prep(early, "+")
-    return [
-        Prepare(prep),
-        GlobalCZ("horizontal"),
-        GlobalCZ("vertical"),
-        Chains(first),
-        Prepare(_prep(late, "+")),
-        GlobalCZ("vertical"),
-        Chains(second),
-    ]
+    its global layers (see :func:`fan_geometry`); ``prepare`` holds the
+    endpoints that start here, such as a fresh hub."""
+    first, second = zip(*(fan_geometry(h, d) for h, d in fans))
+    return stage(prepare, [(("horizontal", "vertical"), sum(first, [])),
+                           (("vertical",), sum(second, []))])
 
 
 # -- named schedules ---------------------------------------------------------
@@ -272,7 +258,7 @@ def schedule_GHZ6() -> Schedule:
     w = wheel_cells(0)
     hub = wheel_cells(18)["1"]          # B's centre
     steps = [Prepare(_prep(w.values(), "+"))]
-    steps += fan_stage([(hub, -1)], prep_hub=True)
+    steps += fan_stage([(hub, -1)], _prep([hub], "+"))
     return Schedule("GHZ6_lattice", (GRID_ROWS, 29), {**w, "6": hub}, steps, 3)
 
 
@@ -282,7 +268,7 @@ def schedule_LP_full() -> Schedule:
     steps: list[Step] = []
     steps += wheel_stage([(E1, 0, "+0000")])
     steps += wheel_stage([(E2, 0, "")])
-    steps += fan_stage([(hub, -1)], prep_hub=True)
+    steps += fan_stage([(hub, -1)], _prep([hub], "+"))
     return Schedule("LP_full", (GRID_ROWS, 29), {**w, "6": hub}, steps, 7)
 
 
@@ -294,11 +280,9 @@ def schedule_horseshoe() -> Schedule:
     steps: list[Step] = []
     steps += wheel_stage([(E1, a, "+0000"), (E1, d, "+0000")])
     # the hub-to-hub bridge shares the two global layers of A's and D's E2
-    prep, *layers, chains = wheel_stage([(E2, a, ""), (E2, d, "")])
-    steps += [Prepare(_prep([hub_b, hub_c], "+") + prep.cells
-                      + _prep(bridge.interior, "+")),
-              *layers, Chains(chains.chains + [bridge])]
-    steps += fan_stage([(hub_b, -1), (hub_c, +1)], prep_hub=False)
+    steps += wheel_stage([(E2, a, ""), (E2, d, "")],
+                         _prep([hub_b, hub_c], "+"), [bridge])
+    steps += fan_stage([(hub_b, -1), (hub_c, +1)])
     steps += wheel_stage([(E1, b, ".0000"), (E1, c, ".0000")])
     steps += wheel_stage([(E2, b, ""), (E2, c, "")])
     return Schedule("horseshoe_lattice", (GRID_ROWS, 72), cells, steps, 11)

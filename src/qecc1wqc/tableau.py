@@ -402,10 +402,22 @@ class Tableau:
         # a pure state split into two unentangled parts has exactly
         # len(qubits) generators touching ``qubits``
         m = len(qubits)
-        sub = Tableau.initialized(m)
-        sub.x[m:] = _pack_bits(_unpack_bits(x[touching], self.n)[:, qubits])
-        sub.z[m:] = _pack_bits(_unpack_bits(z[touching], self.n)[:, qubits])
-        sub.ph[m:] = ph[touching]
+        sx, sz = (_unpack_bits(b[touching], self.n)[:, qubits] for b in (x, z))
+        # Each echelon generator has a pivot qubit where it alone has an X
+        # bit or, having no X bits, a Z bit: Z or X there is its partner.
+        # Multiplying a partner by the generator of an earlier one that it
+        # anticommutes with makes the two commute and changes nothing else.
+        d = np.zeros((2, m, m), dtype=np.uint8)       # partners' x and z bits
+        for i in range(m):
+            bits = sx if sx[i].any() else sz
+            d[int(bits is sx), i, np.flatnonzero(bits[i] & (bits.sum(axis=0) == 1))[0]] = 1
+        sub = Tableau(m, _pack_bits(np.concatenate([d[0], sx])),
+                      _pack_bits(np.concatenate([d[1], sz])),
+                      np.concatenate([np.zeros(m, dtype=np.uint8), ph[touching]]))
+        for j in range(m):
+            for i in range(j):
+                if _sign_flips(sub.x[i], sub.z[j]) ^ _sign_flips(sub.z[i], sub.x[j]):
+                    sub._multiply_rows(np.array([j]), m + i)
         return sub
 
     def first_difference(self, other: "Tableau") -> str | None:

@@ -12,11 +12,12 @@ from qecc1wqc import svsim
 from qecc1wqc.circuit import CZ, Gate
 from qecc1wqc.graphs import Graph, graph_to_tableau
 from qecc1wqc.lattice import (MAX_CELLS, NAMED_SCHEDULES, Chain, Lattice, LatticeError,
-                              build_schedule, run_hop, run_schedule, target_tableau,
+                              build_schedule, hop, run_hop, run_schedule, target_tableau,
                               verify_lattice_against, verify_schedule)
 from qecc1wqc.lattice.layouts import (_BENDS, E1, E1_ADJOINT, E2, GRID_ROWS, Chains,
                                       GlobalCZ, Local, Prepare, Schedule, _path, _route,
-                                      fan_geometry, wheel_cells, wheel_chain, wheel_stage)
+                                      fan_geometry, stage, wheel_cells, wheel_chain,
+                                      wheel_stage)
 from qecc1wqc.lattice.verify import data_register_holds
 from qecc1wqc.svsim import StateVector
 from qecc1wqc.tableau import EntangledError, Tableau, run_gates
@@ -303,6 +304,29 @@ def test_cell_limit():
     assert lat.n == 10 and len(lat.active) == 10
 
 
+@pytest.mark.parametrize("layers,message", [
+    (["horizontal", "vertical"], r"stray edge \(\(0, 2\), \(1, 2\)\) touches measured interior"),
+    (["horizontal", "horizontal"], r"chain edge \(\(1, 0\), \(1, 1\)\) created 2 times"),
+], ids=["stray_edge", "edge_twice"])
+def test_failed_chain_check_changes_nothing(layers, message):
+    """A chain that fails its edge checks consumes no edge: the pending
+    edges, the active cells, the frame and the state are as before."""
+    lat = Lattice(3, 5)
+    lat.prepare([((1, c), "+") for c in range(5)] + [((0, 2), "+")])
+    for axis in layers:
+        lat.global_cz(axis)
+    lat.add_frame_pauli((1, 2), z=1)
+
+    def snapshot():
+        return ({e: list(ls) for e, ls in lat.pending.items()}, set(lat.active),
+                lat.frame, lat.tab.x.tobytes(), lat.tab.z.tobytes(), lat.tab.ph.tobytes())
+
+    before = snapshot()
+    with pytest.raises(LatticeError, match=message):
+        lat.measure_chain(Chain((1, 0), (1, 4), [(1, 1), (1, 2), (1, 3)]))
+    assert snapshot() == before
+
+
 # -- the edge rule and the schedule contract, checked as the schedule runs ---------
 
 
@@ -427,9 +451,9 @@ def test_schedule_random_outcomes_several_seeds():
 SCHEDULE_SHA256 = {
     "E1_lattice": "da2a29b4de053958cc32031783f84c3c2b56a8c4588587596af1b57aa8e0fc49",
     "E2_lattice": "f465aa0feeb72d0879cb8ba1eacbaca9d3b49639cfb630a61abe391bc009af67",
-    "GHZ6_lattice": "a41c9e40744fd838fd6e900c5a70be8c9a488b1c03e90778b176539fa71652a8",
-    "LP_full": "d0eb05c17a820f2a59c6475294b68bb19adba659c9e67a87c57f5a312541401a",
-    "horseshoe_lattice": "78ac2d4b5d80720f2c226d55a4935103b4c0784cc18ac39b5317eef71ac3e7ed",
+    "GHZ6_lattice": "45c5bf2a81f888aa27b0cb277a125113660e24631c8c61f3b4014947ec0bd454",
+    "LP_full": "805e4a42dce1977cb2e6c46ac051a02a68c5824dad35e9731a0a18eb30434874",
+    "horseshoe_lattice": "85d2bbc3e05740e9618ae0afb6806fcb82cd872e266c02a9a29fb2a4415c9a92",
 }
 
 
@@ -465,6 +489,106 @@ def test_overlapping_wheels_rejected(wheels, message):
         run_schedule(sched, seed=0)
 
 
+# -- the stage compiler ----------------------------------------------------------------
+
+
+_PENTAGON = [g.targets for g in E2[0]]
+
+
+@st.composite
+def compiled_subsets(draw):
+    """A subset of one wheel's pentagon CZs, or of one fan's five routes in
+    either direction, as (data cells, rounds, CZ pairs on the data labels
+    in order)."""
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(_PENTAGON), unique=True))
+        chains = [wheel_chain(0, *pair) for pair in pairs]
+        return wheel_cells(0), [(("vertical", "horizontal"), chains)], pairs
+    direction = draw(st.sampled_from([-1, +1]))
+    hub = (8, 26) if direction < 0 else (8, 8)
+    register = wheel_cells(hub[1] - 8 + 18 * direction)
+    qubit = {rc: j for j, rc in enumerate(register.values())}
+    first, second = (draw(st.lists(st.sampled_from(routes), unique_by=lambda ch: ch.v))
+                     for routes in fan_geometry(hub, direction))
+    rounds = [(("horizontal", "vertical"), first), (("vertical",), second)]
+    return {**register, "6": hub}, rounds, [(qubit[ch.v], 5) for ch in first + second]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=compiled_subsets(), seed=st.integers(0, 2**32 - 1))
+def test_stage_compiles_any_subset_of_chains(case, seed):
+    """``stage`` derives the ancilla prepares of any subset of a wheel's
+    pentagon or a fan's routes: the run keeps the edge rule, and the data
+    register holds the graph state of exactly the drawn CZs on |+>.  A
+    second-round fan route drawn without the first-round routes still finds
+    its horizontal segments made by the first round's layer."""
+    cells, rounds, pairs = case
+    steps = stage([(rc, "+") for rc in cells.values()], rounds)
+    layers = sum(len(axes) for axes, _ in rounds)
+    lat = run_schedule(Schedule("subset", (GRID_ROWS, 35), cells, steps, layers), seed=seed)
+    target = run_gates(Tableau.initialized(len(cells), "+" * len(cells)),
+                       [CZ(a, b) for a, b in pairs])
+    res = verify_lattice_against(lat, target, list(cells), "subset")
+    assert res.ok, res.diagnostic
+
+
+def _hop_schedule(mode: str, monkeypatch) -> Schedule:
+    """The schedule ``run_hop`` runs in ``mode``."""
+    seen = []
+
+    def capture(sched, seed=None):
+        seen.append(sched)
+        return run_schedule(sched, seed=seed)
+
+    monkeypatch.setattr(hop, "run_schedule", capture)
+    run_hop(mode, seed=0)
+    return seen[0]
+
+
+def _preparation_rounds(sched: Schedule) -> list[tuple[int, int, tuple]]:
+    """Replay ``sched`` step by step; before each ``Chains`` step read the
+    pending edges.  A round is the steps up to and including a ``Chains``
+    step.  For every chain-interior cell, returns (the round it was last
+    prepared in, the round of the first global layer that made one of its
+    chain edges, the cell)."""
+    lat = Lattice(*sched.grid, sched.data_cells).seed(0)
+    rnd, layer_round, prepared, out = 0, [], {}, []
+    for step in sched.steps:
+        match step:
+            case Prepare(cells):
+                lat.prepare(cells)
+                prepared.update((rc, rnd) for rc, _ in cells)
+            case Local(ops):
+                lat.local_ops(ops)
+            case GlobalCZ(axis):
+                lat.global_cz(axis)
+                layer_round.append(rnd)
+            case Chains(chains):
+                for p in (ch.path for ch in chains):
+                    for i in range(1, len(p) - 1):
+                        first = min(lat.pending[tuple(sorted(p[j:j + 2]))][0] for j in (i - 1, i))
+                        out.append((prepared[p[i]], layer_round[first], p[i]))
+                for chain in chains:
+                    lat.measure_chain(chain)
+                rnd += 1
+    return out
+
+
+@pytest.mark.parametrize("name", [*NAMED_SCHEDULES, "hop_simultaneous", "hop_sequential"])
+def test_ancillas_prepared_just_in_advance(name, monkeypatch):
+    """Every chain-interior cell is prepared in the round of the first
+    global layer that makes one of its chain edges: not earlier, where it
+    would sit idle and gather errors, and not later, where that layer would
+    miss it."""
+    if name.startswith("hop_"):
+        sched = _hop_schedule(name.removeprefix("hop_"), monkeypatch)
+    else:
+        sched = build_schedule(name)
+    rounds = _preparation_rounds(sched)
+    assert rounds
+    assert [(cell, prep, made) for prep, made, cell in rounds if prep != made] == []
+
+
 # -- routes ----------------------------------------------------------------------------
 
 
@@ -485,7 +609,7 @@ def test_routes_join_their_ends():
         routes.append(wheel_chain(0, a, b))
         assert (routes[-1].u, routes[-1].v) == (cells[a], cells[b])
     for hub, direction, base in (((8, 26), -1, 0), ((8, 44), +1, 54)):
-        first, second, _, _ = fan_geometry(hub, direction)
+        first, second = fan_geometry(hub, direction)
         assert {ch.u for ch in first + second} == {hub}
         assert sorted(ch.v for ch in first + second) == sorted(wheel_cells(base).values())
         routes += first + second

@@ -320,11 +320,21 @@ def test_long_path_measurement_crosses_words():
         assert t.measure(q, "X") == (outs[q - 1], True)
 
 
-def _random_clifford_tableau(n, rng, gates=200):
-    t = Tableau.initialized(n, list(rng.choice(["0", "+"], size=n)))
+def _random_clifford_program(n, rng, gates=200):
+    """Random initial symbols and a random gate list on n >= 2 qubits."""
+    init = list(rng.choice(["0", "+"], size=n))
+    prog = []
     for _ in range(gates):
         a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-        t.apply(CZ(a, b) if rng.random() < 0.4 else Gate(str(rng.choice(_ONE_QUBIT)), (a,)))
+        prog.append(CZ(a, b) if rng.random() < 0.4 else Gate(str(rng.choice(_ONE_QUBIT)), (a,)))
+    return init, prog
+
+
+def _random_clifford_tableau(n, rng, gates=200):
+    init, prog = _random_clifford_program(n, rng, gates)
+    t = Tableau.initialized(n, init)
+    for g in prog:
+        t.apply(g)
     return t
 
 
@@ -381,6 +391,84 @@ def test_restricted_extracts_unentangled_subsystem():
     with pytest.raises(EntangledError) as exc:
         t.restricted([2, 5])
     assert exc.value.qubits == [66]
+
+
+def _answers(t: Tableau, q: int, basis: str) -> tuple[int, bool]:
+    """(outcome, deterministic) of measuring q on a copy; a random outcome
+    is forced to 0."""
+    try:
+        return t.copy().measure(q, basis, forced=0)
+    except ForcedOutcomeError:
+        return 1, True
+
+
+def _assert_answers_like(sub: Tableau, fresh: Tableau, paulis) -> None:
+    for p in paulis:
+        assert sub.stabilizes(p) == fresh.stabilizes(p), p.to_label()
+    for q, basis in itertools.product(range(sub.n), "XYZ"):
+        assert _answers(sub, q, basis) == _answers(fresh, q, basis), (q, basis)
+
+
+def test_restricted_answers_like_a_fresh_preparation():
+    """The extracted pair of a CZ on |+++> stabilizes its own first
+    generator +XZ and measures like a CZ on a fresh |++>."""
+    t = Tableau.initialized(3, "+++").apply(CZ(0, 1))
+    sub = t.restricted([0, 1])
+    fresh = Tableau.initialized(2, "++").apply(CZ(0, 1))
+    assert [p.to_label() for p in sub.stabilizer_rows()] == ["+XZ", "+ZX"]
+    assert sub.stabilizes(PauliString.from_label("+XZ"))
+    labels = ["+XZ", "-XZ", "+ZX", "+YY", "-YY", "+XI", "+ZZ", "+II"]
+    _assert_answers_like(sub, fresh, [PauliString.from_label(lb) for lb in labels])
+
+
+def _unentangled_split(n, rng):
+    """A random state on n >= 4 qubits whose random subset ``part`` (in a
+    random order) is unentangled from the rest, and the state of ``part``
+    prepared on its own.  Both sides get random programs; random
+    measurements, repeated on the fresh copy, make the rows generic."""
+    order = [int(q) for q in rng.permutation(n)]
+    cut = int(rng.integers(2, n - 1))
+    part, rest = order[:cut], order[cut:]
+    programs = [_random_clifford_program(len(qs), rng, gates=3 * len(qs)) for qs in (part, rest)]
+    t = Tableau.initialized(n)
+    for qubits, (init, prog) in zip((part, rest), programs):
+        t.apply_symbol_gates(qubits, init)
+        run_gates(t, [Gate(g.kind, tuple(qubits[q] for q in g.targets)) for g in prog])
+    fresh = run_gates(Tableau.initialized(cut, programs[0][0]), programs[0][1])
+    for q in rng.choice(n, size=4, replace=False):
+        basis = str(rng.choice(["X", "Y", "Z"]))
+        outcome, _ = t.measure(int(q), basis, rng=rng)
+        if int(q) in part:
+            fresh.measure(part.index(int(q)), basis, forced=outcome)
+    return t, part, fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 70), seed=st.integers(0, 2**32 - 1))
+def test_restricted_matches_fresh_preparation_on_random_splits(n, seed):
+    """``restricted`` keeps the canonical generators that touch the part,
+    as they were, and its destabilizers make ``stabilizes`` and ``measure``
+    answer as on the part prepared on its own."""
+    rng = np.random.default_rng(seed)
+    t, part, fresh = _unentangled_split(n, rng)
+    sub = t.restricted(part)
+    m = len(part)
+    expected = [PauliString(m, sum(g.x_bit(q) << j for j, q in enumerate(part)),
+                            sum(g.z_bit(q) << j for j, q in enumerate(part)), g.phase)
+                for g in t.canonical_stabilizers()
+                if any(g.x_bit(q) or g.z_bit(q) for q in part)]
+    assert sub.stabilizer_rows() == expected
+    assert sub.stab_equal(fresh)
+    members = []
+    for _ in range(6):
+        p = PauliString.identity(m)
+        for row in fresh.stabilizer_rows():
+            if rng.random() < 0.5:
+                p = compose_pauli(p, row)
+        members.append(p)
+    flipped = [PauliString(m, p.x, p.z, p.phase + 2) for p in members]
+    bits = [PauliString(m, p.x ^ (1 << int(rng.integers(0, m))), p.z, p.phase) for p in members]
+    _assert_answers_like(sub, fresh, members + flipped + bits)
 
 
 @pytest.mark.parametrize("gate", [Gate("Z", (128,)), CZ(0, 128), S(128)],
