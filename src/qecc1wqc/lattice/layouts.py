@@ -188,15 +188,23 @@ def stage(prepare, rounds, pre=(), post=()) -> list[Step]:
     Every ancilla prepare is derived, just in advance of its use: a chain
     edge along an axis is made by the last layer of that axis in the
     chain's round or an earlier one, and each interior cell is prepared in
-    |+> when the round that makes its first edge opens.
+    |+> when the round that makes its first edge opens.  A chain with an
+    edge that no such layer makes is a ``LatticeError``.
     """
     preps = [list(prepare)] + [[] for _ in rounds[1:]]
     last: dict[str, int] = {}
     for k, (axes, chains) in enumerate(rounds):
         last.update(dict.fromkeys(axes, k))
-        for p in (ch.path for ch in chains):
+        for ch in chains:
+            p = ch.path
+            edge_axes = [_axis(a, b) for a, b in zip(p, p[1:])]
+            missing = sorted(set(edge_axes) - last.keys())
+            if missing:
+                raise LatticeError(
+                    f"round {k}: chain {ch.u}-{ch.v} has a {missing[0]} edge, "
+                    "which no layer of this round or an earlier one makes")
             for i in range(1, len(p) - 1):
-                made = min(last[_axis(p[j], p[j + 1])] for j in (i - 1, i))
+                made = min(last[edge_axes[i - 1]], last[edge_axes[i]])
                 preps[made].append((p[i], "+"))
     steps: list[Step] = []
     for k, (axes, chains) in enumerate(rounds):

@@ -233,6 +233,13 @@ def test_depolarize_rejects_zero_trials(capsys):
     assert not payload["ok"] and "trials" in payload["error"]
 
 
+def test_depolarize_rejects_trials_past_int64(capsys):
+    code, payload = _error_report(capsys, ["depolarize", "--p", "0.01", "--trials",
+                                           "100000000000000000000000"])
+    assert code == 2
+    assert payload == {"schema": "1", "ok": False, "error": "trials must be <= 2**63 - 1"}
+
+
 def test_teleport_rejects_qubit_out_of_range(capsys):
     code, payload = _error_report(capsys, ["teleport", "--xi", "0.3", "--inject", "X@9"])
     assert code == 2

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ def test_depolarizing_p_zero(oracle):
     rep = harness.run_depolarizing(0.0, 500, seed=1, oracle=oracle)
     assert rep.details["failure_rate"] == 0
     assert rep.success_count == 500
+    assert rep.details["weight_histogram"] == [500, 0, 0, 0, 0, 0]
 
 
 def test_depolarizing_matches_prediction(oracle):
@@ -52,13 +54,14 @@ def test_depolarizing_p_one_matches_weight5(oracle):
     f5 = oracle["weights"]["5"]["failure_fraction"]
     sigma = np.sqrt(f5 * (1 - f5) / 400)
     assert abs(rep.details["failure_rate"] - f5) <= 5 * sigma
+    assert rep.details["weight_histogram"] == [0, 0, 0, 0, 0, 400]
 
 
 def test_report_determinism(oracle):
     a = dataclasses.asdict(harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle))
     b = dataclasses.asdict(harness.run_depolarizing(1e-3, 1500, seed=9, oracle=oracle))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    assert a["schema"] == "1"
+    assert a["schema"] == "2"
 
 
 def test_two_column_single_hop_is_hadamard():
@@ -146,13 +149,14 @@ def test_binomial_p_value_degenerate_rates():
     assert harness.binomial_p_value(99, 100, 1.0) == 0.0
 
 
-def test_five_sigma_check_has_no_false_alarm_at_small_p():
-    """Seed 275 at p = 1e-3 sees 2 failures where about 0.1 are expected;
-    the normal approximation called that a 5-sigma excursion."""
-    rep = harness.run_depolarizing(1e-3, 10_000, seed=275)
-    assert rep.trials - rep.success_count == 2
-    assert rep.details["within_5_sigma"]
-    assert rep.details["weight_le1_failures"] == 0
+def test_five_sigma_check_has_no_false_alarm_at_small_p(oracle):
+    """At p = 1e-3 about 0.1 of 10^4 trials fail; 2 failures is a 6-sigma
+    excursion to the normal approximation but well within the exact
+    binomial tail."""
+    predicted = harness.predicted_failure_rate(1e-3, oracle)
+    sigma = math.sqrt(predicted * (1 - predicted) / 10_000)
+    assert (2 / 10_000 - predicted) / sigma > 5
+    assert harness.binomial_p_value(2, 10_000, predicted) >= harness.FIVE_SIGMA_P_VALUE
 
 
 def test_five_sigma_check_detects_a_wrong_prediction(oracle):
@@ -193,3 +197,64 @@ def test_unprotected_window_is_weakly_tolerant():
     assert oracle["weights"]["1"]["failures"] > 0
     rep = harness.run_depolarizing(0.05, 3000, seed=22, oracle=oracle)
     assert rep.details["within_5_sigma"]
+
+
+# -- the multinomial draw against per-trial sampling --------------------------
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.3, 1.0])
+def test_pattern_probabilities_are_the_per_letter_products(p):
+    letter = {"I": 1 - p, "X": p / 3, "Y": p / 3, "Z": p / 3}
+    w, probs = harness.pattern_probabilities(p)
+    patterns = list(itertools.product(harness.PATTERN_LETTERS, repeat=5))
+    assert list(w) == [5 - pattern.count("I") for pattern in patterns]
+    assert probs == pytest.approx([math.prod(letter[c] for c in pattern)
+                                   for pattern in patterns], rel=1e-12, abs=0)
+    assert math.fsum(probs) == pytest.approx(1.0, rel=1e-14)
+
+
+def _per_trial_counts(oracle, p, trials, rng):
+    """Failures and weight counts of ``trials`` trials sampled one qubit at
+    a time, as the sampler before the multinomial draw did: each letter is
+    an error with probability p, then uniform over X, Y, Z.  Vectorized over
+    trials."""
+    fid = np.array([f for _, f in oracle["table"]])
+    hit = rng.random((trials, 5)) < p
+    letters = np.where(hit, rng.integers(1, 4, size=(trials, 5)), 0)
+    index = letters @ (4 ** np.arange(4, -1, -1))
+    weights = np.bincount(hit.sum(axis=1), minlength=6)
+    return int((fid[index] < harness.SUCCESS_FIDELITY).sum()), weights
+
+
+def test_per_trial_sampling_follows_the_multinomial_law(oracle):
+    """10^6 trials sampled letter by letter fail, and fall into each weight
+    class, as often as the law the multinomial draws from predicts."""
+    p, trials = 0.05, 10**6
+    failures, weights = _per_trial_counts(oracle, p, trials, np.random.default_rng(29))
+    w, probs = harness.pattern_probabilities(p)
+    fid = np.array([f for _, f in oracle["table"]])
+    fail_prob = probs[fid < harness.SUCCESS_FIDELITY].sum()
+    assert fail_prob == pytest.approx(harness.predicted_failure_rate(p, oracle), rel=1e-12)
+    assert harness.binomial_p_value(failures, trials, fail_prob) >= harness.FIVE_SIGMA_P_VALUE
+    for k in range(6):
+        q = probs[w == k].sum()
+        assert harness.binomial_p_value(int(weights[k]), trials, q) \
+            >= harness.FIVE_SIGMA_P_VALUE, k
+    rep = harness.run_depolarizing(p, trials, seed=29, oracle=oracle)
+    assert sum(rep.details["weight_histogram"]) == trials
+    assert rep.details["within_5_sigma"]
+
+
+def test_depolarizing_cost_does_not_grow_with_trials(oracle):
+    """The draw is over the 4^5 patterns, whatever the trial count."""
+    start = time.perf_counter()
+    rep = harness.run_depolarizing(1e-3, 10**12, seed=5, oracle=oracle)
+    assert time.perf_counter() - start < 0.1
+    assert sum(rep.details["weight_histogram"]) == 10**12
+    assert rep.details["within_5_sigma"]
+    assert rep.details["weight_le1_failures"] == 0
+
+
+def test_depolarizing_rejects_more_trials_than_int64_counts(oracle):
+    with pytest.raises(ValueError, match=r"^trials must be <= 2\*\*63 - 1$"):
+        harness.run_depolarizing(0.01, 2**63, oracle=oracle)

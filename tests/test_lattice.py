@@ -532,6 +532,17 @@ def test_stage_compiles_any_subset_of_chains(case, seed):
     assert res.ok, res.diagnostic
 
 
+@pytest.mark.parametrize("rounds, message", [
+    ([(("vertical",), [Chain((0, 0), (0, 2), [(0, 1)])])],
+     r"^round 0: chain \(0, 0\)-\(0, 2\) has a horizontal edge, which no layer"),
+    ([(("vertical",), []), (("vertical",), [Chain((0, 0), (1, 1), [(0, 1)])])],
+     r"^round 1: chain \(0, 0\)-\(1, 1\) has a horizontal edge"),
+])
+def test_stage_names_a_chain_edge_no_layer_makes(rounds, message):
+    with pytest.raises(LatticeError, match=message):
+        stage([], rounds)
+
+
 def _hop_schedule(mode: str, monkeypatch) -> Schedule:
     """The schedule ``run_hop`` runs in ``mode``."""
     seen = []
