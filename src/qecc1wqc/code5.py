@@ -139,11 +139,7 @@ def build_decoder(offset: int = 0) -> list[Gate]:
 
 def encode(psi: tuple[complex, complex]) -> StateVector:
     """Run the E2 E1 circuit on |psi>|0000>."""
-    alpha, beta = psi
-    amps = np.zeros(32, dtype=complex)
-    amps[0] = alpha
-    amps[16] = beta
-    state = svsim.from_amplitudes(amps)
+    state = svsim.from_amplitudes(svsim.init(5, [StateVector(1, psi)] + ["0"] * 4).amps)
     svsim.run_circuit(state, build_encoder())
     return state
 
@@ -219,19 +215,17 @@ def syndrome_table_rows() -> list[tuple[str, str, str]]:
 
 def simulated_syndrome_table(seed: int = 0) -> list[tuple[str, str, str]]:
     """Re-derive the table by simulation: encode, corrupt, decode, classify."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    alpha, beta = v / np.linalg.norm(v)
+    psi = svsim.random_state(np.random.default_rng(seed), 1)
     rows = []
     for label in SYNDROME_TABLE:
-        state = encode((alpha, beta))
+        state = encode(psi.amps)
         err = error_operator(label)
         svsim.apply_pauli(state, err)
         syn, residual = decode_and_syndrome(state)
         which = "?"
         for name, corr in _CORRECTION_FOR_RESIDUAL.items():
             fixed = svsim.apply_pauli(residual.copy(), corr)
-            if abs(np.vdot([alpha, beta], fixed.amps)) > 1 - 1e-9:
+            if svsim.fidelity(psi, fixed) > 1 - 1e-9:
                 which = name
                 break
         shown = "None" if label == "I" else label

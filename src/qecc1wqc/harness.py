@@ -17,7 +17,6 @@ import numpy as np
 
 from . import code5, protocols, svsim
 from .pauli import PauliString, conjugate_pauli
-from .svsim import StateVector
 
 SCHEMA = "1"
 SUCCESS_FIDELITY = 1 - 1e-6
@@ -44,12 +43,6 @@ class RunReport:
     schema: str = SCHEMA
 
 
-def _random_qubit(rng) -> tuple[complex, complex]:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = v / np.linalg.norm(v)
-    return complex(v[0]), complex(v[1])
-
-
 def _op_counts() -> dict:
     return {"two_qubit_gates": protocols.TELEPORT_TWO_QUBIT_GATES}
 
@@ -60,8 +53,7 @@ WEIGHT1_LABELS = tuple(lbl for lbl in code5.SYNDROME_TABLE if lbl != "I")
 def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7) -> RunReport:
     """No-error case plus all fifteen single-qubit Paulis in the protected
     window; asserts every syndrome matches the lookup table."""
-    rng = np.random.default_rng(seed)
-    psi = _random_qubit(rng)
+    psi = svsim.random_state(np.random.default_rng(seed), 1).amps
     trials = []
     fids = []
     successes = 0
@@ -93,7 +85,9 @@ def run_exhaustive_correction_sweep(seed: int = 0, xi: float = 0.7) -> RunReport
 # itertools.product("IXYZ", repeat=5)).
 PATTERN_LETTERS = "IXYZ"
 FIVE_SIGMA_P_VALUE = math.erfc(5 / math.sqrt(2))  # two-sided normal tail, 5.733e-7
-MAX_TRIALS = 2**63 - 1  # the multinomial draw counts in int64
+# The exact p-value walks the binomial tail, about 9 standard deviations
+# (at most 1.4e5 terms here), so its cost grows with sqrt(trials).
+MAX_TRIALS = 10**9
 # The depolarizing report's schema: "2" since its trials are one multinomial
 # draw, which reads a different random stream than the per-trial
 # generators of schema "1".
@@ -182,26 +176,16 @@ def exhaustive_failure_oracle(psi=None, xi: float = 0.7, seed: int = 12345,
     (Gottesman-Knill) instead of simulated densely.  ``out["table"][i]`` is
     the (syndrome, fidelity) of the pattern with index ``i``.
     """
-    rng = np.random.default_rng(seed)
     if psi is None:
-        psi = _random_qubit(rng)
+        psi = svsim.random_state(np.random.default_rng(seed), 1).amps
     overlaps = _output_overlaps(psi, xi)
     table = [_read_pattern(x, z, overlaps) for x, z in _propagated_patterns(stage)]
-    patterns = [0] * 6
-    failures = [0] * 6
-    for pattern, (_, fid) in zip(itertools.product(PATTERN_LETTERS, repeat=5), table):
-        w = 5 - pattern.count("I")
-        patterns[w] += 1
-        failures[w] += fid < SUCCESS_FIDELITY
-    out = {"xi": xi, "weights": {}}
-    for w in range(6):
-        out["weights"][str(w)] = {
-            "patterns": patterns[w],
-            "failures": failures[w],
-            "failure_fraction": failures[w] / patterns[w],
-        }
-    out["table"] = table
-    return out
+    w = pattern_weights()
+    failed = np.array([fid < SUCCESS_FIDELITY for _, fid in table])
+    patterns, failures = (np.bincount(v, minlength=6).tolist() for v in (w, w[failed]))
+    weights = {str(k): {"patterns": patterns[k], "failures": failures[k],
+                        "failure_fraction": failures[k] / patterns[k]} for k in range(6)}
+    return {"xi": xi, "weights": weights, "table": table}
 
 
 def predicted_failure_rate(p: float, oracle: dict) -> float:
@@ -217,9 +201,30 @@ def predicted_failure_rate(p: float, oracle: dict) -> float:
     return total
 
 
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula."""
+    if n <= 15:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - math.log(2 * math.pi) / 2
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, m: float) -> float:
+    """x log(x/m) + m - x, through log1p so that x near m keeps its digits."""
+    d = (x - m) / m
+    if d >= 1:  # far above m, where d may overflow
+        return x * (math.log(x) - math.log(m)) + m - x
+    return m * ((1 + d) * math.log1p(d) - d)
+
+
 def _binomial_pmf(k: int, n: int, q: float) -> float:
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                    + k * math.log(q) + (n - k) * math.log1p(-q))
+    """Binomial(n, q) probability of k in Loader's saddle-point form, which
+    keeps the precision that a difference of log-factorials loses."""
+    if k == 0 or k == n:
+        return math.exp(n * math.log1p(-q) if k == 0 else n * math.log(q))
+    log_ratio = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+                 - _bd0(k, n * q) - _bd0(n - k, n * (1 - q)))
+    return math.exp(log_ratio) * math.sqrt(n / (2 * math.pi * k * (n - k)))
 
 
 def binomial_p_value(k: int, n: int, q: float) -> float:
@@ -248,19 +253,24 @@ def binomial_p_value(k: int, n: int, q: float) -> float:
     return min(1.0, 2 * min(near, far))
 
 
+def pattern_weights() -> np.ndarray:
+    """The number of non-I letters of every pattern, in oracle table order."""
+    digits = np.arange(4**5)[:, None] >> np.arange(0, 10, 2) & 3
+    return np.count_nonzero(digits, axis=1)
+
+
 def pattern_probabilities(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Weight and probability of every pattern, in oracle table order.
 
     Under iid depolarizing noise of strength p a pattern with w non-I
     letters has probability (p/3)^w (1-p)^(5-w).
     """
-    digits = np.arange(4**5)[:, None] >> np.arange(0, 10, 2) & 3
-    w = np.count_nonzero(digits, axis=1)
+    w = pattern_weights()
     return w, (p / 3) ** w * (1 - p) ** (5 - w)
 
 
 def run_depolarizing(p: float, trials: int, seed: int = 0,
-                     xi: float | None = None, oracle: dict | None = None) -> RunReport:
+                     oracle: dict | None = None) -> RunReport:
     """Each protected qubit independently suffers a uniform X/Y/Z error with
     probability p; reports the empirical logical failure rate.
 
@@ -270,9 +280,8 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     multinomial draw from ``np.random.default_rng(seed)``, at a cost that
     does not depend on ``trials``.
 
-    The ``oracle``, by default the protected window's at ``xi`` (0.7 when
-    not given), fixes where the errors strike and the reported xi; an
-    explicit ``xi`` that differs from a given oracle's is an error.
+    The ``oracle``, by default the protected window's at xi = 0.7, fixes
+    where the errors strike and the reported xi.
 
     ``within_5_sigma`` holds when the exact two-sided binomial p-value of
     the failure count under the oracle prediction is at least the normal
@@ -283,11 +292,9 @@ def run_depolarizing(p: float, trials: int, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:
-        raise ValueError("trials must be <= 2**63 - 1")
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
     if oracle is None:
-        oracle = exhaustive_failure_oracle(xi=0.7 if xi is None else xi, seed=seed ^ 0x5EED)
-    elif xi is not None and xi != oracle["xi"]:
-        raise ValueError(f"xi={xi!r} differs from the oracle's xi={oracle['xi']!r}")
+        oracle = exhaustive_failure_oracle(seed=seed ^ 0x5EED)
     fid = np.array([f for _, f in oracle["table"]])
     ok = fid >= SUCCESS_FIDELITY
     w, probs = pattern_probabilities(p)
@@ -328,16 +335,15 @@ def run_two_column_computation(xis, seed: int = 0,
     xis = list(xis)
     if forced_ms is not None and len(forced_ms) != len(xis):
         raise ValueError(f"forced_ms has {len(forced_ms)} entries for {len(xis)} hops")
-    rng = np.random.default_rng(seed)
     if psi is None:
-        psi = _random_qubit(rng)
+        psi = svsim.random_state(np.random.default_rng(seed), 1).amps
     state = code5.encode(psi)
     fx = fz = 0
     trials = []
     for k, xi in enumerate(xis):
         hop_rng = np.random.default_rng((seed, k))
         xi_eff = xi if fx == 0 else -xi
-        full = StateVector(10, np.kron(state.amps, svsim.init(5, "00000").amps))
+        full = svsim.init(10, [state, svsim.init(5, "00000")])
         forced = None if forced_ms is None else forced_ms[k]
         syndrome, rec, state = protocols._teleport_hop(full, xi_eff, hop_rng, forced)
         if syndrome != "0000":

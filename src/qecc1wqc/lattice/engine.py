@@ -189,7 +189,7 @@ class Lattice:
         """Activate cells in |0>, |1>, |+> or |->.
 
         Re-preparing a cell that is still active (entangled or not) is an
-        error; only fresh or measured-and-released cells may be prepared.
+        error; only fresh or measured cells may be prepared.
         Fresh cells get a |0> qubit and measured cells are reset to |0>;
         then the symbol gates of all the cells are applied in one pass.
         """
@@ -202,7 +202,7 @@ class Lattice:
             if str(sym) not in INIT_SYMBOLS:
                 raise LatticeError(f"cell {rc}: unknown prepare symbol {sym!r}")
             seen.add(rc)
-        # only measure_chain releases a cell, so a cell with a qubit was measured
+        # only a measurement releases a cell, so a cell with a qubit was measured
         measured = [self._qubits[rc] for rc, _ in cells if rc in self._qubits]
         new = [rc for rc, _ in cells if rc not in self._qubits]
         if self.n + len(new) > MAX_CELLS:
@@ -260,8 +260,9 @@ class Lattice:
     # -- measurements --------------------------------------------------------------
 
     def measure_data(self, rc, basis: str, forced: int | None = None) -> int:
-        """Measure a cell in X, Y or Z; returns the frame-corrected outcome.
-        ``forced`` forces the raw tableau outcome."""
+        """Measure a cell in X, Y or Z and release it, so that it may be
+        prepared again; returns the frame-corrected outcome.  ``forced``
+        forces the raw tableau outcome."""
         q = self.qubit(rc)
         raw, _ = self.tab.measure(q, basis, rng=self._rng, forced=forced)
         if basis == "X":
@@ -270,10 +271,13 @@ class Lattice:
             flip = self.frame.x_bit(q)
         else:
             flip = self.frame.z_bit(q) ^ self.frame.x_bit(q)
+        self.active.discard(tuple(rc))
+        self._clear_frame(q)
         return raw ^ flip
 
     def measure_chain(self, chain: Chain, forced: list[int] | None = None) -> list[int]:
-        """Consume a chain: measure its interior, record byproducts, release.
+        """Consume a chain: measure its interior, which releases it, and
+        record byproducts.
 
         Returns the frame-corrected interior outcomes.  ``forced`` forces the
         raw tableau outcomes, one 0 or 1 per interior cell (for exhaustive
@@ -324,10 +328,6 @@ class Lattice:
                 self._apply(Gate("SDG", (self.qubit(rc),)))
                 self._flip_frame(self.qubit(rc), z=mu)
             outcomes = [mu] + outcomes
-
-        for rc in interior:
-            self.active.discard(rc)
-            self._clear_frame(self.qubit(rc))
         self.counts.measured_ancillae += k
         return outcomes
 

@@ -160,12 +160,9 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
         if err.n != 5:
             raise ValueError(f"injected error must act on the 5 A qubits, got {err.n}")
         err = PauliString(10, err.x, err.z, err.phase)
-    alpha, beta = psi
-
-    amps = np.zeros(1024, dtype=complex)
-    amps[0] = alpha
-    amps[512] = beta
-    state = svsim.from_amplitudes(amps)
+    # from_amplitudes normalizes all 1024 amplitudes, which rounds
+    # differently from normalizing psi first
+    state = svsim.from_amplitudes(svsim.init(10, [StateVector(1, psi)] + ["0"] * 9).amps)
     svsim.run_circuit(state, HOP_ENCODE_A)
     syndrome, rec, out = _teleport_hop(state, xi, rng, forced_m, err, error_stage)
     fid = svsim.fidelity(out, teleport_target(psi, xi, rec.outcome))
@@ -217,11 +214,6 @@ class PushThroughReport:
     passed: bool
 
 
-def _random_register_state(rng) -> np.ndarray:
-    v = rng.normal(size=32) + 1j * rng.normal(size=32)
-    return v / np.linalg.norm(v)
-
-
 def push_through_check(n_random: int = 20, seed: int = 0,
                        tol: float = 1e-9) -> PushThroughReport:
     """Verify the encoder/fan identity against the graph-side construction.
@@ -232,13 +224,11 @@ def push_through_check(n_random: int = 20, seed: int = 0,
     input.
     """
     rng = np.random.default_rng(seed)
-    inputs = [_random_register_state(rng) for _ in range(n_random - 1)]
-    inputs.insert(0, svsim.init(5, "+++++").amps)
+    inputs = [svsim.random_state(rng, 5) for _ in range(n_random - 1)]
+    inputs.insert(0, svsim.init(5, "+++++"))
 
-    def lhs(reg: np.ndarray) -> StateVector:
-        zeros = np.zeros(32, dtype=complex)
-        zeros[0] = 1
-        st = StateVector(10, np.kron(reg, zeros))
+    def lhs(reg: StateVector) -> StateVector:
+        st = svsim.init(10, [reg, svsim.init(5, "00000")])
         svsim.run_circuit(st, HOP_FAN_ENCODE_B)
         return st
 
@@ -246,8 +236,8 @@ def push_through_check(n_random: int = 20, seed: int = 0,
     # B's pentagon
     graph_czs = [g for g in linear_cluster_graph(2).cz_gates() if max(g.targets) >= 5]
 
-    def rhs(reg: np.ndarray, with_z_layer: bool) -> StateVector:
-        st = StateVector(10, np.kron(reg, svsim.init(5, "+++++").amps))
+    def rhs(reg: StateVector, with_z_layer: bool) -> StateVector:
+        st = svsim.init(10, [reg, svsim.init(5, "+++++")])
         for g in graph_czs:
             svsim.apply(st, g)
         if with_z_layer:
@@ -288,20 +278,13 @@ def build_horseshoe_logical(mode: str = "tableau"):
     the opt-in dense mode (20 qubits; slow but exact).
     """
     circuit = build_horseshoe_circuit()
+    init = "+" + "0" * 14 + "+" + "0" * 4
     if mode == "tableau":
-        init = ["0"] * 20
-        init[0] = "+"
-        init[15] = "+"
         return circuit, run_gates(Tableau.initialized(20, init), circuit)
     if mode == "dense":
-        plus1 = np.array([1, 1], dtype=complex) / math.sqrt(2)
-        zero4 = np.zeros(16, dtype=complex)
-        zero4[0] = 1
-        zero5 = np.zeros(32, dtype=complex)
-        zero5[0] = 1
-        endpoint = np.kron(plus1, zero4)
-        amps = np.kron(np.kron(endpoint, np.kron(zero5, zero5)), endpoint)
-        st = StateVector(20, amps)
+        # two 10-qubit halves: a fold over 20 symbols would keep a 2^19
+        # intermediate alive next to the 2^20 result
+        st = svsim.init(20, [svsim.init(10, init[:10]), svsim.init(10, init[10:])])
         svsim.run_circuit(st, circuit)
         return circuit, st
     raise ValueError("mode must be 'tableau' or 'dense'")
@@ -314,16 +297,8 @@ def horseshoe_intermediate(psi: tuple[complex, complex],
     Returns (constructed, target) where the target is
     |psi^L> (|0>|+> + |1>|->)/sqrt(2) |phi^L> assembled directly.
     """
-    alpha, beta = psi
-    gamma, delta = phi
     # qubits: A = 0..4, hubs 5 and 6, D = 7..11
-    amps_a = np.zeros(32, dtype=complex)
-    amps_a[0], amps_a[16] = alpha, beta
-    amps_d = np.zeros(32, dtype=complex)
-    amps_d[0], amps_d[16] = gamma, delta
-    hubs = np.zeros(4, dtype=complex)
-    hubs[0] = 1
-    st = StateVector(12, np.kron(np.kron(amps_a, hubs), amps_d))
+    st = svsim.init(12, [StateVector(1, psi), *"000000", StateVector(1, phi), *"0000"])
     svsim.run_circuit(st, code5.build_encoder(0))
     svsim.run_circuit(st, code5.build_encoder(7))
     svsim.apply(st, H(5))
@@ -331,9 +306,8 @@ def horseshoe_intermediate(psi: tuple[complex, complex],
     svsim.apply(st, CZ(5, 6))
 
     bell = np.array([1, 1, 1, -1], dtype=complex) / 2  # CZ|++>
-    target = np.kron(
-        np.kron(code5.encode_amplitudes(alpha, beta).amps, bell),
-        code5.encode_amplitudes(gamma, delta).amps)
+    target = np.kron(np.kron(code5.encode_amplitudes(*psi).amps, bell),
+                     code5.encode_amplitudes(*phi).amps)
     return st, StateVector(12, target)
 
 

@@ -57,19 +57,32 @@ class MeasurementRecord:
 
 
 def init(n: int, assignment) -> StateVector:
-    """Product state from per-qubit symbols in {'0','1','+','-'}."""
+    """Product state of ``assignment``, in qubit order: per-qubit symbols in
+    {'0','1','+','-'} and ``StateVector`` factors of any width."""
     if n > MAX_QUBITS:
         raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit dense budget")
-    if len(assignment) != n:
-        raise ValueError("assignment length must equal qubit count")
-    amps = np.array([1.0 + 0j])
-    for sym in assignment:
-        local = _LOCAL.get(str(sym))
+    factors = []
+    for f in assignment:
+        local = f.amps if isinstance(f, StateVector) else _LOCAL.get(str(f))
         if local is None:
-            raise ValueError(f"symbol {sym!r} is not one of 0, 1, +, -")
-        # the products np.kron forms, without its overhead
+            raise ValueError(f"symbol {f!r} is not one of 0, 1, +, - or a StateVector")
+        factors.append(local)
+    width = sum(len(f).bit_length() - 1 for f in factors)
+    if width != n:
+        raise ValueError(f"assignment covers {width} qubits, not {n}")
+    # the products np.kron forms, without its overhead; the first factor is
+    # copied, not multiplied by 1, so even the sign of a zero is kept
+    amps = factors[0].copy() if factors else np.ones(1, dtype=complex)
+    for local in factors[1:]:
         amps = np.multiply.outer(amps, local).reshape(-1)
     return StateVector(n, amps)
+
+
+def random_state(rng, n: int) -> StateVector:
+    """Haar-random n-qubit state: normalized complex Gaussian amplitudes,
+    the real parts drawn before the imaginary ones."""
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, v / np.linalg.norm(v))
 
 
 def from_amplitudes(amps: np.ndarray) -> StateVector:

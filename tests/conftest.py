@@ -12,14 +12,12 @@ def rng():
 
 
 def random_state_vector(rng, n):
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return v / np.linalg.norm(v)
+    return svsim.random_state(rng, n).amps
 
 
 def random_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v = v / np.linalg.norm(v)
-    return complex(v[0]), complex(v[1])
+    alpha, beta = svsim.random_state(rng, 1).amps
+    return complex(alpha), complex(beta)
 
 
 def logical_zero_from_K5() -> StateVector:

@@ -233,11 +233,20 @@ def test_depolarize_rejects_zero_trials(capsys):
     assert not payload["ok"] and "trials" in payload["error"]
 
 
-def test_depolarize_rejects_trials_past_int64(capsys):
-    code, payload = _error_report(capsys, ["depolarize", "--p", "0.01", "--trials",
-                                           "100000000000000000000000"])
+@pytest.mark.parametrize("trials", ["1000000001", "9223372036854775807",
+                                    "100000000000000000000000"])
+def test_depolarize_rejects_trials_past_the_limit(capsys, trials):
+    code, payload = _error_report(capsys, ["depolarize", "--p", "0.01", "--trials", trials])
     assert code == 2
-    assert payload == {"schema": "1", "ok": False, "error": "trials must be <= 2**63 - 1"}
+    assert payload == {"schema": "1", "ok": False, "error": "trials must be <= 1000000000"}
+
+
+def test_depolarize_reports_at_the_trial_limit(capsys):
+    """Used to end in an OverflowError traceback at its then limit, 2**63 - 1."""
+    code = main(["depolarize", "--p", "0.03", "--trials", "1000000000", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert report["trials"] == 10**9 and report["details"]["within_5_sigma"]
 
 
 def test_teleport_rejects_qubit_out_of_range(capsys):

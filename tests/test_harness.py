@@ -107,25 +107,12 @@ def test_depolarizing_validates_arguments():
             harness.run_depolarizing(p, 10)
 
 
-@pytest.mark.parametrize("xi", [float("nan"), float("inf")])
-def test_depolarizing_rejects_non_finite_xi(xi):
-    with pytest.raises(ValueError, match="xi must be finite"):
-        harness.run_depolarizing(0.05, 2000, xi=xi)
-
-
 def test_depolarizing_reports_the_oracles_xi():
     """The report's xi is the one the oracle was built at, not the 0.7
     default."""
     oracle = harness.exhaustive_failure_oracle(xi=0.3, seed=3)
     rep = harness.run_depolarizing(0.05, 200, oracle=oracle)
     assert rep.details["xi"] == 0.3
-    assert harness.run_depolarizing(0.05, 200, xi=0.3, oracle=oracle).details["xi"] == 0.3
-
-
-@pytest.mark.parametrize("xi", [0.1, float("nan")])
-def test_depolarizing_rejects_xi_other_than_the_oracles(oracle, xi):
-    with pytest.raises(ValueError, match="differs from the oracle's xi=0.7"):
-        harness.run_depolarizing(0.05, 200, xi=xi, oracle=oracle)
 
 
 def _brute_p_value(k, n, q):
@@ -245,16 +232,48 @@ def test_per_trial_sampling_follows_the_multinomial_law(oracle):
     assert rep.details["within_5_sigma"]
 
 
-def test_depolarizing_cost_does_not_grow_with_trials(oracle):
-    """The draw is over the 4^5 patterns, whatever the trial count."""
+@pytest.mark.parametrize("p, seconds", [(1e-3, 0.1), (0.03, 2), (0.3, 2), (1.0, 2)])
+def test_depolarizing_cost_does_not_grow_with_trials(oracle, p, seconds):
+    """The draw is over the 4^5 patterns, whatever the trial count; the
+    p-value walks about 9 standard deviations of the failure count, which
+    is longest at the trial limit."""
     start = time.perf_counter()
-    rep = harness.run_depolarizing(1e-3, 10**12, seed=5, oracle=oracle)
-    assert time.perf_counter() - start < 0.1
-    assert sum(rep.details["weight_histogram"]) == 10**12
+    rep = harness.run_depolarizing(p, harness.MAX_TRIALS, seed=5, oracle=oracle)
+    assert time.perf_counter() - start < seconds
+    assert sum(rep.details["weight_histogram"]) == harness.MAX_TRIALS
     assert rep.details["within_5_sigma"]
     assert rep.details["weight_le1_failures"] == 0
 
 
-def test_depolarizing_rejects_more_trials_than_int64_counts(oracle):
-    with pytest.raises(ValueError, match=r"^trials must be <= 2\*\*63 - 1$"):
-        harness.run_depolarizing(0.01, 2**63, oracle=oracle)
+def test_depolarizing_rejects_more_trials_than_the_limit(oracle):
+    with pytest.raises(ValueError, match=r"^trials must be <= 1000000000$"):
+        harness.run_depolarizing(0.01, harness.MAX_TRIALS + 1, oracle=oracle)
+
+
+def _mp_p_value(mpmath, k, n, q):
+    """binomial_p_value's sum in 30-digit arithmetic, from an exact pmf."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        pmf_k = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                           - mpmath.loggamma(n - k + 1)
+                           + k * mpmath.log(q) + (n - k) * mpmath.log1p(-q))
+        odds = q / (1 - q)
+        step = 1 if k >= n * q else -1
+        near, term, j = 0, pmf_k, k
+        while term > near * mpmath.mpf(10) ** -20:
+            near += term
+            term *= (n - j) / (j + 1) * odds if step > 0 else j / (n - j + 1) / odds
+            j += step
+        return pmf_k, min(1, 2 * min(near, 1 - near + pmf_k))
+
+
+@pytest.mark.parametrize("q, z", [(1e-3, -2.0), (0.03, 0.3), (0.5, 4.5)])
+def test_binomial_p_value_at_the_trial_limit_matches_mpmath(q, z):
+    """The saddle-point pmf keeps the p-value exact to 1e-6 at the limit; a
+    difference of lgamma values was off by 0.3 to 0.7 % at 10^12 trials."""
+    mpmath = pytest.importorskip("mpmath")
+    n = harness.MAX_TRIALS
+    k = round(n * q + z * math.sqrt(n * q * (1 - q)))
+    pmf_k, p_value = _mp_p_value(mpmath, k, n, q)
+    assert harness._binomial_pmf(k, n, q) == pytest.approx(float(pmf_k), rel=1e-6)
+    assert harness.binomial_p_value(k, n, q) == pytest.approx(float(p_value), rel=1e-6)

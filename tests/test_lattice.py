@@ -722,6 +722,21 @@ def test_prepared_cells_hold_their_symbols():
             assert lat.frame.x_bit(q) == lat.frame.z_bit(q) == 0
 
 
+@pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+def test_measured_data_cell_can_be_prepared_again(basis):
+    """measure_data releases its cell, as measure_chain releases a chain's
+    interior; re-preparing it used to raise 'cell (0, 0) is active'."""
+    lat = Lattice(3, 3).seed(0)
+    lat.prepare([((0, 0), "+")])
+    lat.add_frame_pauli((0, 0), x=1, z=1)
+    lat.measure_data((0, 0), basis)
+    assert (0, 0) not in lat.active
+    assert lat.frame.x_bit(0) == lat.frame.z_bit(0) == 0
+    lat.prepare([((0, 0), "0")])
+    assert (0, 0) in lat.active and lat.n == 1
+    assert lat.measure_data((0, 0), "Z") == 0
+
+
 @pytest.mark.parametrize("forced,message", [
     ([1], "forced has 1 outcomes for 2 interior cells"),
     ([0, 5], "forced outcomes must be 0 or 1, got 5"),

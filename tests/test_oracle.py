@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qecc1wqc import harness, protocols
+from qecc1wqc import harness, protocols, svsim
 from qecc1wqc.pauli import PauliString
 
 PATTERNS = ["".join(p) for p in itertools.product(harness.PATTERN_LETTERS, repeat=5)]
@@ -63,7 +63,7 @@ def test_malformed_psi_rejected(psi):
 @pytest.mark.parametrize("stage", protocols.ERROR_STAGES)
 def test_oracle_matches_dense_teleport_on_every_pattern(stage):
     seed, xi = 11, -1.9
-    psi = harness._random_qubit(np.random.default_rng(seed))
+    psi = svsim.random_state(np.random.default_rng(seed), 1).amps
     oracle = harness.exhaustive_failure_oracle(xi=xi, seed=seed, stage=stage)
     for index in range(len(PATTERNS)):
         assert_entry_matches(oracle["table"][index], dense_entry(psi, xi, stage, index))

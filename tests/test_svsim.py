@@ -41,6 +41,67 @@ def test_budget_guard():
         svsim.init(25, "0" * 25)
 
 
+def test_init_takes_state_vector_factors_as_np_kron_does(rng):
+    """Symbols and StateVector factors, a two-qubit one between symbols,
+    give the bytes of np.kron over the same factors."""
+    psi, pair = svsim.random_state(rng, 1), svsim.random_state(rng, 2)
+    factors = [psi, "+", pair, "1", "-"]
+    expect = psi.amps
+    for f in factors[1:]:
+        expect = np.kron(expect, f.amps if isinstance(f, StateVector) else svsim.init(1, f).amps)
+    assert svsim.init(6, factors).amps.tobytes() == expect.tobytes()
+    whole = svsim.init(6, [svsim.init(6, factors)])
+    assert whole.amps.tobytes() == expect.tobytes()
+
+
+def test_init_copies_a_lone_factor():
+    psi = svsim.init(1, "+")
+    svsim.init(1, [psi]).amps[0] = 0
+    assert psi.amps[0] != 0
+
+
+@pytest.mark.parametrize("n, assignment", [
+    (3, ["0", StateVector(1, [1, 0])]),
+    (3, ["0", svsim.init(3, "000")]),
+    (2, "000"),
+])
+def test_init_rejects_factor_widths_that_miss_n(n, assignment):
+    with pytest.raises(ValueError, match=f"assignment covers .* qubits, not {n}$"):
+        svsim.init(n, assignment)
+
+
+def test_init_rejects_an_unknown_symbol():
+    with pytest.raises(ValueError, match="symbol 'x' is not one of"):
+        svsim.init(2, ["0", "x"])
+
+
+def test_random_state_is_the_normalized_gaussian_draw():
+    rng = np.random.default_rng(4)
+    real, imag = rng.normal(size=8), rng.normal(size=8)
+    v = real + 1j * imag
+    state = svsim.random_state(np.random.default_rng(4), 3)
+    assert state.n == 3
+    assert state.amps.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+def test_dense_horseshoe_start_state_stays_under_20_mb():
+    """The 2^20 amplitudes take 16 MB; the start state is the product of two
+    10-qubit halves, where a fold over 20 symbols would also hold its 2^19
+    intermediate (24 MB in all)."""
+    import tracemalloc
+
+    from qecc1wqc import protocols
+
+    tracemalloc.start()
+    try:
+        _, state = protocols.build_horseshoe_logical("dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.n == 20
+    assert peak < 20 * 2**20
+
+
 def test_apply_h():
     s = svsim.init(1, "0")
     svsim.apply(s, H(0))
