@@ -157,8 +157,8 @@ def decode_and_syndrome(state: StateVector):
     if state.n != 5:
         raise ValueError("decoder expects a 5-qubit register")
     svsim.run_circuit(state, build_decoder())
-    bits = [svsim.measure(state, q, "Z")[0].outcome for q in range(1, 5)]
-    return syndrome_string(bits), svsim.extract_pure(state, [0])
+    syndrome, _ = read_syndrome(lambda q: svsim.measure(state, q, "Z")[0].outcome)
+    return syndrome, svsim.extract_pure(state, [0])
 
 
 _CORRECTION_FOR_RESIDUAL = {
@@ -172,9 +172,15 @@ _CORRECTION_FOR_RESIDUAL = {
 _RESIDUAL_FOR_SYNDROME = dict(SYNDROME_TABLE.values())
 
 
-def syndrome_string(bits) -> str:
-    """Measured syndrome bits, in the table's (a, b, c, d) order, as '1010'."""
-    return "".join(str(b) for b in bits)
+def read_syndrome(measure_z) -> tuple[str, PauliString]:
+    """The syndrome of a decoded register and the correction for its qubit 0.
+
+    ``measure_z(q)`` gives the Z outcome, 0 or 1, of qubit q; it is called
+    for q = 1, 2, 3, 4, the table's (a, b, c, d) order, once each.  Returns
+    the syndrome string, such as '1010', and its table correction.
+    """
+    syndrome = "".join(str(measure_z(q)) for q in range(1, 5))
+    return syndrome, correction_for(syndrome)
 
 
 def correction_label_for(syndrome: str) -> str:

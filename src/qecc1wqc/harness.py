@@ -153,8 +153,7 @@ def _read_pattern(x: int, z: int, overlaps: dict) -> tuple[str, float]:
     X^a Z^b on qubit 0.  On register B the error either leaves the code
     space or acts as a logical X^lx Z^lz.
     """
-    syndrome = code5.syndrome_string((x >> q) & 1 for q in range(1, 5))
-    corr = code5.correction_for(syndrome)
+    syndrome, corr = code5.read_syndrome(lambda q: (x >> q) & 1)
     xb, zb = x >> 5, z >> 5
     if any(_anticommutes(xb, zb, s) for s in _CODE_STABILIZERS):
         return syndrome, 0.0
@@ -343,9 +342,8 @@ def run_two_column_computation(xis, seed: int = 0,
     for k, xi in enumerate(xis):
         hop_rng = np.random.default_rng((seed, k))
         xi_eff = xi if fx == 0 else -xi
-        full = svsim.init(10, [state, svsim.init(5, "00000")])
         forced = None if forced_ms is None else forced_ms[k]
-        syndrome, rec, state = protocols._teleport_hop(full, xi_eff, hop_rng, forced)
+        syndrome, rec, state = protocols._teleport_hop(state, xi_eff, hop_rng, forced)
         if syndrome != "0000":
             raise AssertionError("noiseless hop produced a nonzero syndrome")
         m = rec.outcome

@@ -263,7 +263,9 @@ class Lattice:
         """Measure a cell in X, Y or Z and release it, so that it may be
         prepared again; returns the frame-corrected outcome.  ``forced``
         forces the raw tableau outcome."""
-        q = self.qubit(rc)
+        q, rc = self.qubit(rc), tuple(rc)
+        if rc not in self.active:
+            raise LatticeError(f"measurement of inactive cell {rc}")
         raw, _ = self.tab.measure(q, basis, rng=self._rng, forced=forced)
         if basis == "X":
             flip = self.frame.z_bit(q)
@@ -271,7 +273,7 @@ class Lattice:
             flip = self.frame.x_bit(q)
         else:
             flip = self.frame.z_bit(q) ^ self.frame.x_bit(q)
-        self.active.discard(tuple(rc))
+        self.active.discard(rc)
         self._clear_frame(q)
         return raw ^ flip
 

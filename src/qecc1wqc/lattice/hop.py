@@ -65,8 +65,7 @@ def run_hop(mode: str = "simultaneous", seed=None) -> HopReport:
     hop_ops = lat.counts.global_cz_steps - prep_ops
 
     # syndrome on A's qubits 2..5, then the teleporting X measurement
-    syndrome = code5.syndrome_string(lat.measure_data(data[k], "Z") for k in "2345")
-    corr = code5.correction_for(syndrome)
+    syndrome, corr = code5.read_syndrome(lambda q: lat.measure_data(data[str(q + 1)], "Z"))
     lat.add_frame_pauli(data["1"], x=corr.x & 1, z=corr.z & 1)
     m = lat.measure_data(data["1"], "X")
     if m:

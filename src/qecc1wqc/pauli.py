@@ -29,10 +29,6 @@ class NonCliffordGateError(ValueError):
     """Raised when a Clifford-only routine receives a non-Clifford gate."""
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Immutable signed Pauli operator on ``n`` qubits."""
@@ -96,7 +92,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     def to_label(self) -> str:
         """Render as sign prefix plus letters, e.g. '+XZIIY'."""
@@ -138,7 +134,7 @@ def compose_pauli(p: PauliString, q: PauliString) -> PauliString:
     """Operator product p*q with the symplectic phase rule."""
     if p.n != q.n:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
-    phase = (p.phase + q.phase + 2 * _popcount(p.z & q.x)) % 4
+    phase = (p.phase + q.phase + 2 * (p.z & q.x).bit_count()) % 4
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 

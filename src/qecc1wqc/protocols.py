@@ -89,13 +89,11 @@ def build_teleport_circuit() -> list[Gate]:
     return build_logical_physical_circuit() + code5.build_encoder(5)
 
 
-# The hop cut at its two error windows: after encoding A ("after_encode_a")
-# and after encoding B ("protected").  ``HOP_TAILS`` holds the gates that
-# run after each window.
+# The hop from A's encoded register, cut at its two error windows: after
+# encoding A ("after_encode_a") and after encoding B ("protected").
+# ``HOP_TAILS`` holds the gates that run after each window.
 _HOP = build_teleport_circuit()
-_A_END = len(code5.build_encoder(0))
-HOP_ENCODE_A = _HOP[:_A_END]
-HOP_FAN_ENCODE_B = _HOP[_A_END:]
+HOP_FAN_ENCODE_B = _HOP[len(code5.build_encoder(0)):]
 HOP_DECODE_A = code5.build_decoder(0)
 HOP_TAILS = {"protected": HOP_DECODE_A, "after_encode_a": HOP_FAN_ENCODE_B + HOP_DECODE_A}
 TELEPORT_TWO_QUBIT_GATES = two_qubit_gate_count(_HOP)
@@ -160,11 +158,7 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
         if err.n != 5:
             raise ValueError(f"injected error must act on the 5 A qubits, got {err.n}")
         err = PauliString(10, err.x, err.z, err.phase)
-    # from_amplitudes normalizes all 1024 amplitudes, which rounds
-    # differently from normalizing psi first
-    state = svsim.from_amplitudes(svsim.init(10, [StateVector(1, psi)] + ["0"] * 9).amps)
-    svsim.run_circuit(state, HOP_ENCODE_A)
-    syndrome, rec, out = _teleport_hop(state, xi, rng, forced_m, err, error_stage)
+    syndrome, rec, out = _teleport_hop(code5.encode(psi), xi, rng, forced_m, err, error_stage)
     fid = svsim.fidelity(out, teleport_target(psi, xi, rec.outcome))
     return TeleportReport(
         m=rec.outcome,
@@ -179,26 +173,26 @@ def encoded_teleport(psi: tuple[complex, complex], xi: float,
     )
 
 
-def _teleport_hop(state: StateVector, xi: float, rng, forced_m: int | None = None,
+def _teleport_hop(register: StateVector, xi: float, rng, forced_m: int | None = None,
                   error: PauliString | None = None, error_stage: str = "protected"):
-    """One hop from register A (encoded) to register B (in |00000>).
+    """One hop from A's encoded 5-qubit ``register`` to register B.
 
-    Runs the fan and B's encoder, the decoder on A, reads the syndrome,
-    applies the table correction and measures qubit 0 at angle -xi; an
-    optional 10-qubit ``error`` strikes at ``error_stage``.  Mutates
-    ``state``; returns (syndrome string, XY MeasurementRecord, B StateVector).
+    Joins B in |00000>, runs the fan and B's encoder, the decoder on A,
+    reads the syndrome, applies the table correction and measures qubit 0
+    at angle -xi; an optional 10-qubit ``error`` strikes at ``error_stage``.
+    Returns (syndrome string, XY MeasurementRecord, B StateVector).
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi!r}")
+    state = svsim.init(10, [register, svsim.init(5, "00000")])
     # the earliest window's tail is the whole hop after A's encoder
     hop, tail = HOP_TAILS["after_encode_a"], HOP_TAILS[error_stage]
     svsim.run_circuit(state, hop[:len(hop) - len(tail)])
     if error is not None:
         svsim.apply_pauli(state, error)
     svsim.run_circuit(state, tail)
-    syndrome = code5.syndrome_string(
-        svsim.measure(state, q, "Z", rng=rng)[0].outcome for q in range(1, 5))
-    corr = code5.correction_for(syndrome)
+    syndrome, corr = code5.read_syndrome(
+        lambda q: svsim.measure(state, q, "Z", rng=rng)[0].outcome)
     svsim.apply_pauli(state, PauliString(10, corr.x, corr.z, corr.phase))
     rec, _ = svsim.measure(state, 0, "XY", rng=rng, forced=forced_m, xi=-xi)
     return syndrome, rec, svsim.extract_pure(state, [5, 6, 7, 8, 9])

@@ -93,7 +93,7 @@ def from_amplitudes(amps: np.ndarray) -> StateVector:
         raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit dense budget")
     v = np.asarray(amps, dtype=complex)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1) > 1e-8:
+    if not abs(nrm - 1) <= 1e-8:  # also rejects a nan norm
         raise ValueError("amplitudes are not normalized")
     return StateVector(n, v / nrm)
 

@@ -155,6 +155,24 @@ def test_correction_examples():
     assert z == PauliString.single(1, 0, "Z")
 
 
+@pytest.mark.parametrize("syndrome", [syn for syn, _ in code5.SYNDROME_TABLE.values()])
+def test_read_syndrome_reads_qubits_1_to_4_once_in_order(syndrome):
+    """The reader's call order fixes the random draws of the dense hop."""
+    asked = []
+
+    def measure_z(q):
+        asked.append(q)
+        return int(syndrome[q - 1])
+
+    assert code5.read_syndrome(measure_z) == (syndrome, code5.correction_for(syndrome))
+    assert asked == [1, 2, 3, 4]
+
+
+def test_read_syndrome_rejects_an_outcome_that_is_not_a_bit():
+    with pytest.raises(ValueError, match="bad syndrome '2222'"):
+        code5.read_syndrome(lambda q: 2)
+
+
 @pytest.mark.parametrize("bad", ["", "000", "00000", "0x00"])
 def test_correction_rejects_unknown_syndrome(bad):
     with pytest.raises(ValueError, match=repr(bad)):

@@ -735,6 +735,8 @@ def test_measured_data_cell_can_be_prepared_again(basis):
     lat.prepare([((0, 0), "0")])
     assert (0, 0) in lat.active and lat.n == 1
     assert lat.measure_data((0, 0), "Z") == 0
+    with pytest.raises(LatticeError, match=r"measurement of inactive cell \(0, 0\)"):
+        lat.measure_data((0, 0), "Z")
 
 
 @pytest.mark.parametrize("forced,message", [

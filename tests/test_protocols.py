@@ -232,6 +232,18 @@ def test_teleport_takes_only_a_five_qubit_error(rng):
                                    injected_error=PauliString.single(10, 2, "X"), rng=rng)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: svsim.from_amplitudes(np.array([np.nan, 0])),
+    lambda: code5.encode((np.nan, 0)),
+    lambda: protocols.encoded_teleport((np.nan, 0), 0.3),
+], ids=["from_amplitudes", "encode", "encoded_teleport"])
+def test_nan_amplitudes_are_rejected_before_any_gate(call):
+    """A nan norm fails the normalization check, so no gate runs on an
+    all-nan state."""
+    with pytest.raises(ValueError, match="amplitudes are not normalized"):
+        call()
+
+
 # -- push-through --------------------------------------------------------------------
 
 
