@@ -90,7 +90,7 @@ def encode_amplitudes(alpha: complex, beta: complex) -> StateVector:
     """alpha |0L> + beta |1L>, assembled directly from the code words."""
     v = alpha * _L0 + beta * _L1
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1) > 1e-8:
+    if not abs(nrm - 1) <= 1e-8:  # also rejects a nan norm
         raise ValueError("(alpha, beta) must be normalized")
     return StateVector(5, v / nrm)
 

@@ -227,17 +227,13 @@ def push_through_check(n_random: int = 20, seed: int = 0,
         return st
 
     # the two-register cluster without A's pentagon: the 25 cross CZs and
-    # B's pentagon
+    # B's pentagon, then the Z layer on B
     graph_czs = [g for g in linear_cluster_graph(2).cz_gates() if max(g.targets) >= 5]
+    z_layer = [Z(q) for q in range(5, 10)]
 
     def rhs(reg: StateVector, with_z_layer: bool) -> StateVector:
         st = svsim.init(10, [reg, svsim.init(5, "+++++")])
-        for g in graph_czs:
-            svsim.apply(st, g)
-        if with_z_layer:
-            for q in range(5, 10):
-                svsim.apply(st, Z(q))
-        return st
+        return svsim.run_circuit(st, graph_czs + z_layer if with_z_layer else graph_czs)
 
     fids = [svsim.fidelity(lhs(reg), rhs(reg, True)) for reg in inputs]
     neg = [svsim.fidelity(lhs(reg), rhs(reg, False)) for reg in inputs]
@@ -276,10 +272,15 @@ def build_horseshoe_logical(mode: str = "tableau"):
     if mode == "tableau":
         return circuit, run_gates(Tableau.initialized(20, init), circuit)
     if mode == "dense":
-        # two 10-qubit halves: a fold over 20 symbols would keep a 2^19
-        # intermediate alive next to the 2^20 result
-        st = svsim.init(20, [svsim.init(10, init[:10]), svsim.init(10, init[10:])])
-        svsim.run_circuit(st, circuit)
+        # each register joins, in its init symbols, just before the first
+        # gate that touches it, so only D's encoder and the last fan run on
+        # all 2^20 amplitudes
+        st, start = svsim.init(5, init[:5]), 0
+        for i, g in enumerate(circuit):
+            if max(g.targets) >= st.n:
+                svsim.run_circuit(st, circuit[start:i])
+                st, start = svsim.init(st.n + 5, [st, svsim.init(5, init[st.n:st.n + 5])]), i
+        svsim.run_circuit(st, circuit[start:])
         return circuit, st
     raise ValueError("mode must be 'tableau' or 'dense'")
 
@@ -293,11 +294,8 @@ def horseshoe_intermediate(psi: tuple[complex, complex],
     """
     # qubits: A = 0..4, hubs 5 and 6, D = 7..11
     st = svsim.init(12, [StateVector(1, psi), *"000000", StateVector(1, phi), *"0000"])
-    svsim.run_circuit(st, code5.build_encoder(0))
-    svsim.run_circuit(st, code5.build_encoder(7))
-    svsim.apply(st, H(5))
-    svsim.apply(st, H(6))
-    svsim.apply(st, CZ(5, 6))
+    svsim.run_circuit(st, code5.build_encoder(0) + code5.build_encoder(7)
+                      + [H(5), H(6), CZ(5, 6)])
 
     bell = np.array([1, 1, 1, -1], dtype=complex) / 2  # CZ|++>
     target = np.kron(np.kron(code5.encode_amplitudes(*psi).amps, bell),

@@ -6,6 +6,13 @@ index, so ``amps.reshape([2] * n)`` puts qubit q on axis q, and
 and measurement kernels work on.  States are mutated in place by ``apply``
 and ``measure`` and also returned, so both functional and imperative call
 styles work.
+
+``run_circuit`` runs a gate list by the run: each maximal run of diagonal
+gates (CZ, Z, S, SDG) is one in-place multiply by a table of powers of i,
+indexed only by the qubits the run touches, and H on a state that fits in
+one slab skips the slab loop.  Registers are prepared just in advance of
+their use: ``init`` joins a register onto a state, and the dense horseshoe
+joins each one just before the first gate that touches it.
 """
 
 from __future__ import annotations
@@ -105,7 +112,6 @@ def from_amplitudes(amps: np.ndarray) -> StateVector:
 # BLAS zgemm that ``numpy.tensordot`` runs (2x2 matrix times 2-row operands),
 # so it reproduces the bits of the tensordot formulation.  Only the sign of
 # an exact zero can differ from it, here and in the element steps.
-_HALF_PHASE = {"Z": -1, "S": 1j, "SDG": -1j}
 _Y_PHASES = np.array([[-1j], [1j]])  # Y|0> = i|1>, Y|1> = -i|0>
 _H_T = _H.T
 _SLAB = 1 << 15  # amplitudes per H product, so its temporaries stay in cache
@@ -119,6 +125,9 @@ def _halves(amps: np.ndarray, q: int) -> np.ndarray:
 def _hadamard(amps: np.ndarray, q: int) -> None:
     """H on qubit q, in place, one slab of at most _SLAB amplitudes at a time."""
     v = _halves(amps, q)
+    if amps.size <= _SLAB:
+        _hadamard_slab(v)
+        return
     blocks, _, width = v.shape
     cols = min(width, _SLAB // 2)
     rows = max(1, _SLAB // (2 * width))
@@ -138,22 +147,57 @@ def _hadamard_slab(s: np.ndarray) -> None:
         s[...] = prod.reshape(2, blocks, width).transpose(1, 0, 2)
 
 
-def _cz(amps: np.ndarray, a: int, b: int) -> None:
-    lo, hi = sorted((a, b))
-    amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)[:, 1, :, 1, :] *= -1
+# Diagonal gates multiply each amplitude by i^k, k in 0..3.  A run of them is
+# one multiply of the ``[2] * n`` view of the amplitudes by a table of i^k
+# with an axis of 2 for each qubit the run touches and of 1 for the others,
+# so the table has 2^(touched qubits) entries.  Multiplying by +-1 or +-i is
+# exact, so a run gives the values its gates give one at a time.  A run
+# spans at most _RUN_QUBITS qubits; tables are built on first use and kept
+# in a bounded cache keyed by the state width and the run's gates.
+_DIAGONAL_K = {"CZ": 2, "Z": 2, "S": 1, "SDG": 3}
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_RUN_QUBITS = 10
+_TABLES_MAX = 256
+_TABLES: dict[tuple[int, tuple[Gate, ...]], np.ndarray] = {}
 
 
-def apply(state: StateVector, g: Gate) -> StateVector:
+def _phase_table(n: int, run: tuple[Gate, ...]) -> np.ndarray:
+    key = (n, run)
+    table = _TABLES.get(key)
+    if table is not None:
+        return table
+    axis = {q: i for i, q in enumerate(sorted({t for g in run for t in g.targets}))}
+    k = np.zeros([2] * len(axis), dtype=np.uint8)  # wraps mod 256, keeping k mod 4
+    for g in run:
+        index = [slice(None)] * len(axis)
+        for t in g.targets:
+            index[axis[t]] = 1
+        k[tuple(index)] += _DIAGONAL_K[g.kind]
+    table = _I_POWERS[k % 4].reshape([2 if q in axis else 1 for q in range(n)])
+    if len(_TABLES) >= _TABLES_MAX:
+        del _TABLES[next(iter(_TABLES))]
+    _TABLES[key] = table
+    return table
+
+
+def _phase_run(state: StateVector, run: tuple[Gate, ...]) -> None:
+    v = state.amps.reshape((2,) * state.n)
+    np.multiply(v, _phase_table(state.n, run), out=v)
+
+
+def _check_targets(state: StateVector, g: Gate) -> None:
     for t in g.targets:
         if not 0 <= t < state.n:
             raise ValueError(f"gate target {t} out of range")
+
+
+def apply(state: StateVector, g: Gate) -> StateVector:
+    _check_targets(state, g)
     kind, q = g.kind, g.targets[0]
-    if kind == "CZ":
-        _cz(state.amps, q, g.targets[1])
+    if kind in _DIAGONAL_K:
+        _phase_run(state, (g,))
     elif kind == "H":
         _hadamard(state.amps, q)
-    elif kind in _HALF_PHASE:
-        _halves(state.amps, q)[:, 1, :] *= _HALF_PHASE[kind]
     elif kind == "RZ":
         v = _halves(state.amps, q)
         v[:, 0, :] *= np.exp(-1j * g.xi / 2)
@@ -271,7 +315,22 @@ def extract_pure(state: StateVector, subset) -> StateVector:
 
 
 def run_circuit(state: StateVector, gates: list[Gate]) -> StateVector:
-    """Apply ``gates`` in order."""
+    """Apply ``gates`` in order, each maximal run of diagonal gates (split
+    where it would span more than _RUN_QUBITS qubits) as one multiply."""
+    run, touched = [], set()
     for g in gates:
+        if g.kind in _DIAGONAL_K:
+            _check_targets(state, g)
+            if len(touched.union(g.targets)) > _RUN_QUBITS:
+                _phase_run(state, tuple(run))
+                run, touched = [], set()
+            run.append(g)
+            touched.update(g.targets)
+            continue
+        if run:
+            _phase_run(state, tuple(run))
+            run, touched = [], set()
         apply(state, g)
+    if run:
+        _phase_run(state, tuple(run))
     return state

@@ -232,15 +232,16 @@ def test_teleport_takes_only_a_five_qubit_error(rng):
                                    injected_error=PauliString.single(10, 2, "X"), rng=rng)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: svsim.from_amplitudes(np.array([np.nan, 0])),
-    lambda: code5.encode((np.nan, 0)),
-    lambda: protocols.encoded_teleport((np.nan, 0), 0.3),
-], ids=["from_amplitudes", "encode", "encoded_teleport"])
-def test_nan_amplitudes_are_rejected_before_any_gate(call):
+@pytest.mark.parametrize("call, message", [
+    (lambda: svsim.from_amplitudes(np.array([np.nan, 0])), "amplitudes are not normalized"),
+    (lambda: code5.encode((np.nan, 0)), "amplitudes are not normalized"),
+    (lambda: protocols.encoded_teleport((np.nan, 0), 0.3), "amplitudes are not normalized"),
+    (lambda: code5.encode_amplitudes(np.nan, 0), r"\(alpha, beta\) must be normalized"),
+], ids=["from_amplitudes", "encode", "encoded_teleport", "encode_amplitudes"])
+def test_nan_amplitudes_are_rejected_before_any_gate(call, message):
     """A nan norm fails the normalization check, so no gate runs on an
-    all-nan state."""
-    with pytest.raises(ValueError, match="amplitudes are not normalized"):
+    all-nan state and no division by it warns."""
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -295,6 +296,17 @@ def test_horseshoe_intermediate_slice(rng):
     phi = random_qubit(rng)
     built, target = protocols.horseshoe_intermediate(psi, phi)
     assert svsim.fidelity(built, target) > 1 - 1e-10
+
+
+@pytest.mark.slow
+def test_dense_horseshoe_joined_build_equals_the_full_start_state_run():
+    """Registers that join just before their first gate give the amplitudes
+    of running the same circuit from the full 20-qubit start state."""
+    circuit, joined = protocols.build_horseshoe_logical(mode="dense")
+    init = "+" + "0" * 14 + "+" + "0" * 4
+    full = svsim.run_circuit(svsim.init(20, [svsim.init(10, init[:10]),
+                                             svsim.init(10, init[10:])]), circuit)
+    assert np.array_equal(joined.amps, full.amps)
 
 
 @pytest.mark.slow

@@ -85,9 +85,10 @@ def test_random_state_is_the_normalized_gaussian_draw():
 
 
 def test_dense_horseshoe_start_state_stays_under_20_mb():
-    """The 2^20 amplitudes take 16 MB; the start state is the product of two
-    10-qubit halves, where a fold over 20 symbols would also hold its 2^19
-    intermediate (24 MB in all)."""
+    """The 2^20 amplitudes take 16 MB.  The build starts from register A and
+    joins register D last, as one product of the 2^15 state and D's 32
+    amplitudes, so no 2^19 fold intermediate or second 2^20 array is alive
+    next to the result, and no phase table is 2^20 wide."""
     import tracemalloc
 
     from qecc1wqc import protocols
@@ -409,3 +410,84 @@ def test_kernels_match_tensordot_reference_bitwise_at_20_qubits():
     for q in (0, 3, 10, 15, 17, 18, 19):
         _assert_gate_bitwise(amps, n, H(q))
         _assert_measure_bitwise(amps, n, q, "XY", 0.61, q % 2)
+
+
+# -- runs of diagonal gates ---------------------------------------------------------
+
+
+def _gate_matrix(n: int, g: Gate) -> np.ndarray:
+    """The explicit 2^n x 2^n matrix of ``g``, qubit 0 most significant."""
+    if g.kind == "CZ":
+        a, b = g.targets
+        bits = np.arange(1 << n)
+        both = ((bits >> (n - 1 - a)) & (bits >> (n - 1 - b)) & 1).astype(bool)
+        return np.diag(np.where(both, -1, 1).astype(complex))
+    if g.kind == "RZ":
+        u = np.diag([np.exp(-1j * g.xi / 2), np.exp(1j * g.xi / 2)])
+    else:
+        u = _REF_U[g.kind]
+    (q,) = g.targets
+    return np.kron(np.kron(np.eye(1 << q), u), np.eye(1 << (n - q - 1)))
+
+
+@st.composite
+def _circuits(draw):
+    """(n, gates) with n <= 6 over all eight kinds, diagonal ones drawn more
+    often so that runs of them are long."""
+    n = draw(st.integers(1, 6))
+    kinds = [k for k in GATE_KINDS if n > 1 or k != "CZ"]
+    kinds += [k for k in ("CZ", "Z", "S", "SDG") if k in kinds] * 3
+    qubit = st.integers(0, n - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "CZ":
+            gates.append(CZ(*draw(st.lists(qubit, min_size=2, max_size=2, unique=True))))
+        elif kind == "RZ":
+            gates.append(RZ(draw(qubit), draw(st.floats(-7, 7))))
+        else:
+            gates.append(Gate(kind, (draw(qubit),)))
+    return n, gates
+
+
+def _run_as_one_by_one(n: int, amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
+    """run_circuit's amplitudes, checked equal to applying the gates one at
+    a time, with every cached table within its run's qubits."""
+    run = svsim.run_circuit(StateVector(n, amps.copy()), gates).amps
+    one_by_one = StateVector(n, amps.copy())
+    for g in gates:
+        svsim.apply(one_by_one, g)
+    assert np.array_equal(run, one_by_one.amps)
+    for (width, key), table in svsim._TABLES.items():
+        touched = {t for g in key for t in g.targets}
+        assert len(touched) <= svsim._RUN_QUBITS
+        assert table.size <= 2 ** len(touched)
+        assert table.ndim == width
+    return run
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_run_circuit_matches_gate_matrices_and_single_gates(circuit, seed):
+    """run_circuit, which multiplies each run of diagonal gates at once,
+    matches the product of explicit gate matrices to 1e-12 and gives the
+    values of applying the gates one at a time."""
+    n, gates = circuit
+    amps = random_state_vector(np.random.default_rng(seed), n)
+    want = amps.copy()
+    for g in gates:
+        want = _gate_matrix(n, g) @ want
+    assert np.allclose(_run_as_one_by_one(n, amps, gates), want, rtol=0, atol=1e-12)
+
+
+def test_a_run_wider_than_its_bound_is_split(rng):
+    """A CZ ring and a Z layer over 13 qubits form one diagonal run, which
+    runs as tables of at most _RUN_QUBITS qubits each."""
+    n = 13
+    gates = [CZ(q, (q + 1) % n) for q in range(n)] + [Gate("Z", (q,)) for q in range(n)]
+    _run_as_one_by_one(n, random_state_vector(rng, n), gates)
+
+
+def test_run_circuit_checks_every_target():
+    with pytest.raises(ValueError, match="gate target 3 out of range"):
+        svsim.run_circuit(svsim.init(3, "+++"), [CZ(0, 1), CZ(1, 3)])
