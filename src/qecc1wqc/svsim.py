@@ -9,14 +9,14 @@ styles work.
 
 ``run_circuit`` runs a gate list by the run: each maximal run of diagonal
 gates (CZ, Z, S, SDG) is one in-place multiply by a table of powers of i,
-indexed only by the qubits the run touches, and H on a state that fits in
-one slab skips the slab loop.  Registers are prepared just in advance of
-their use: ``init`` joins a register onto a state, and the dense horseshoe
-joins each one just before the first gate that touches it.
+indexed only by the qubits the run touches.  Registers are prepared just in
+advance of their use: ``init`` joins a register onto a state, and the dense
+horseshoe joins each one just before the first gate that touches it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,9 +125,6 @@ def _halves(amps: np.ndarray, q: int) -> np.ndarray:
 def _hadamard(amps: np.ndarray, q: int) -> None:
     """H on qubit q, in place, one slab of at most _SLAB amplitudes at a time."""
     v = _halves(amps, q)
-    if amps.size <= _SLAB:
-        _hadamard_slab(v)
-        return
     blocks, _, width = v.shape
     cols = min(width, _SLAB // 2)
     rows = max(1, _SLAB // (2 * width))
@@ -152,20 +149,18 @@ def _hadamard_slab(s: np.ndarray) -> None:
 # with an axis of 2 for each qubit the run touches and of 1 for the others,
 # so the table has 2^(touched qubits) entries.  Multiplying by +-1 or +-i is
 # exact, so a run gives the values its gates give one at a time.  A run
-# spans at most _RUN_QUBITS qubits; tables are built on first use and kept
-# in a bounded cache keyed by the state width and the run's gates.
+# spans at most _RUN_QUBITS qubits.  Tables are built on first use and kept,
+# read-only, in a bounded cache keyed by the state width and the run's gates:
+# a dense_protocols operation multiplies about 2300 runs, of only 28 distinct
+# kinds, and building a table costs 35-50 us against about 3 us to look it up
+# (2-vCPU Xeon VM).
 _DIAGONAL_K = {"CZ": 2, "Z": 2, "S": 1, "SDG": 3}
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _RUN_QUBITS = 10
-_TABLES_MAX = 256
-_TABLES: dict[tuple[int, tuple[Gate, ...]], np.ndarray] = {}
 
 
+@functools.lru_cache(maxsize=256)
 def _phase_table(n: int, run: tuple[Gate, ...]) -> np.ndarray:
-    key = (n, run)
-    table = _TABLES.get(key)
-    if table is not None:
-        return table
     axis = {q: i for i, q in enumerate(sorted({t for g in run for t in g.targets}))}
     k = np.zeros([2] * len(axis), dtype=np.uint8)  # wraps mod 256, keeping k mod 4
     for g in run:
@@ -174,15 +169,13 @@ def _phase_table(n: int, run: tuple[Gate, ...]) -> np.ndarray:
             index[axis[t]] = 1
         k[tuple(index)] += _DIAGONAL_K[g.kind]
     table = _I_POWERS[k % 4].reshape([2 if q in axis else 1 for q in range(n)])
-    if len(_TABLES) >= _TABLES_MAX:
-        del _TABLES[next(iter(_TABLES))]
-    _TABLES[key] = table
+    table.flags.writeable = False
     return table
 
 
-def _phase_run(state: StateVector, run: tuple[Gate, ...]) -> None:
+def _phase_run(state: StateVector, run: list[Gate]) -> None:
     v = state.amps.reshape((2,) * state.n)
-    np.multiply(v, _phase_table(state.n, run), out=v)
+    np.multiply(v, _phase_table(state.n, tuple(run)), out=v)
 
 
 def _check_targets(state: StateVector, g: Gate) -> None:
@@ -195,7 +188,7 @@ def apply(state: StateVector, g: Gate) -> StateVector:
     _check_targets(state, g)
     kind, q = g.kind, g.targets[0]
     if kind in _DIAGONAL_K:
-        _phase_run(state, (g,))
+        _phase_run(state, [g])
     elif kind == "H":
         _hadamard(state.amps, q)
     elif kind == "RZ":
@@ -316,21 +309,25 @@ def extract_pure(state: StateVector, subset) -> StateVector:
 
 def run_circuit(state: StateVector, gates: list[Gate]) -> StateVector:
     """Apply ``gates`` in order, each maximal run of diagonal gates (split
-    where it would span more than _RUN_QUBITS qubits) as one multiply."""
+    where it would span more than _RUN_QUBITS qubits) as one multiply.
+
+    Every target is checked before any gate runs, so a list with a target
+    out of range raises and leaves the state untouched."""
+    for g in gates:
+        _check_targets(state, g)
     run, touched = [], set()
     for g in gates:
         if g.kind in _DIAGONAL_K:
-            _check_targets(state, g)
             if len(touched.union(g.targets)) > _RUN_QUBITS:
-                _phase_run(state, tuple(run))
+                _phase_run(state, run)
                 run, touched = [], set()
             run.append(g)
             touched.update(g.targets)
             continue
         if run:
-            _phase_run(state, tuple(run))
+            _phase_run(state, run)
             run, touched = [], set()
         apply(state, g)
     if run:
-        _phase_run(state, tuple(run))
+        _phase_run(state, run)
     return state

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,13 +453,22 @@ def _circuits(draw):
 
 def _run_as_one_by_one(n: int, amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """run_circuit's amplitudes, checked equal to applying the gates one at
-    a time, with every cached table within its run's qubits."""
-    run = svsim.run_circuit(StateVector(n, amps.copy()), gates).amps
+    a time, with every phase table it multiplies by within its run's qubits."""
+    built, build = [], svsim._phase_table
+
+    def recording(width, run):
+        table = build(width, run)
+        built.append((width, run, table))
+        return table
+
+    with mock.patch.object(svsim, "_phase_table", recording):
+        run = svsim.run_circuit(StateVector(n, amps.copy()), gates).amps
     one_by_one = StateVector(n, amps.copy())
     for g in gates:
         svsim.apply(one_by_one, g)
     assert np.array_equal(run, one_by_one.amps)
-    for (width, key), table in svsim._TABLES.items():
+    assert sum(len(r) for _, r, _ in built) == sum(g.kind in ("CZ", "Z", "S", "SDG") for g in gates)
+    for width, key, table in built:
         touched = {t for g in key for t in g.targets}
         assert len(touched) <= svsim._RUN_QUBITS
         assert table.size <= 2 ** len(touched)
@@ -489,5 +499,10 @@ def test_a_run_wider_than_its_bound_is_split(rng):
 
 
 def test_run_circuit_checks_every_target():
+    """A target out of range anywhere in the list raises before any gate
+    runs, so the state is left untouched."""
+    state = svsim.init(3, "+0+")
+    before = state.amps.copy()
     with pytest.raises(ValueError, match="gate target 3 out of range"):
-        svsim.run_circuit(svsim.init(3, "+++"), [CZ(0, 1), CZ(1, 3)])
+        svsim.run_circuit(state, [H(1), CZ(0, 1), Gate("S", (2,)), CZ(1, 3), H(0)])
+    assert state.amps.tobytes() == before.tobytes()
